@@ -13,7 +13,7 @@ import argparse
 import sys
 
 from .berezin import berezin
-from .dsl import SymbolSyntaxError, format_symbol, parse_complex, parse_symbol
+from .dsl import SymbolSyntaxError, _fmt_coef, format_symbol, parse_complex, parse_symbol
 from .gaussian import symbol_integral
 from .oracle import quad_integral
 from .sharp import sharp
@@ -23,18 +23,11 @@ from .suites import (
     DEFAULT_SEED,
     DEFAULT_TOL,
     SUITE_NAMES,
-    default_workers,
     report_to_json,
     run_suite,
 )
 from .symbols import Symbol
-from .toeplitz import toeplitz_apply
-
-
-def _fmt_complex(v: complex) -> str:
-    from .dsl import _fmt_coef
-
-    return _fmt_coef(v)
+from .toeplitz import OpChain
 
 
 def _add_shared(p: argparse.ArgumentParser) -> None:
@@ -116,8 +109,8 @@ def _symbol_output(args, result: Symbol) -> None:
     if args.at:
         point = _parse_point(args.at, args.n)
         value = result.eval(point)
-        values.append(_fmt_complex(value))
-        lines.append(f"at ({args.at}): {_fmt_complex(value)}")
+        values.append(_fmt_coef(value))
+        lines.append(f"at ({args.at}): {_fmt_coef(value)}")
     payload = {"symbol": text}
     if values:
         payload["at"] = args.at
@@ -149,10 +142,7 @@ def _run(args) -> int:
             raise SymbolSyntaxError(
                 "toeplitz-apply needs chain symbols plus the argument (>= 2 --symbol)", 0
             )
-        u = symbols[-1]
-        for phi in reversed(symbols[:-1]):
-            u = toeplitz_apply(phi, u)
-        _symbol_output(args, u)
+        _symbol_output(args, OpChain(symbols[:-1]).apply(symbols[-1]))
         return 0
 
     if args.command == "moment":
@@ -160,7 +150,7 @@ def _run(args) -> int:
 
         (s,) = _require_symbols(args, 1)
         value = symbol_integral(s)
-        _emit(args, _json.dumps({"moment": _fmt_complex(value)}), _fmt_complex(value))
+        _emit(args, _json.dumps({"moment": _fmt_coef(value)}), _fmt_coef(value))
         return 0
 
     if args.command == "oracle":
@@ -171,13 +161,13 @@ def _run(args) -> int:
         closed = symbol_integral(s)
         diff = abs(quad - closed)
         payload = {
-            "quadrature": _fmt_complex(quad),
-            "closed_form": _fmt_complex(closed),
+            "quadrature": _fmt_coef(quad),
+            "closed_form": _fmt_coef(closed),
             "abs_difference": f"{diff:.17g}",
         }
         text = (
-            f"quadrature : {_fmt_complex(quad)}\n"
-            f"closed form: {_fmt_complex(closed)}\n"
+            f"quadrature : {_fmt_coef(quad)}\n"
+            f"closed form: {_fmt_coef(closed)}\n"
             f"difference : {diff:.3e}"
         )
         _emit(args, _json.dumps(payload), text)
@@ -190,7 +180,6 @@ def _run(args) -> int:
             degree=args.degree,
             seed=args.seed,
             tol=args.tol,
-            workers=default_workers(),
         )
         body_json = report_to_json(report)
         lines = []

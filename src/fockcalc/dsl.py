@@ -1,27 +1,15 @@
 """Text notation for symbols: recursive-descent parser and pretty-printer.
 
-Grammar (whitespace insignificant):
-
-    expr   := ["-"] term {("+"|"-") term}
-    term   := factor {"*" factor}
-    factor := base ["^" nat]
-    base   := number | "z" nat | "conj" "(" expr ")" | "exp" "(" expr ")"
-            | "K" "(" const {"," const} ")" | "(" expr ")"
-    number := float | float "i"
-
-Complex literals are written (a+bi) and rendered with 14 significant
-digits; "conj" is the only conjugation operator.  exp arguments must be affine in z_1..z_n and conj(z_1)..
-conj(z_n) once constants are folded (the constant part folds into the
-coefficient).  K(w_1,..,w_n) lowers to exp(z . conj(w)), the reproducing
-kernel at w.
-
-Every diagnostic is a SymbolSyntaxError carrying the character position;
-parsing never raises anything else on bad input.
+The grammar, with the rules on exp arguments, kernels and complex
+literals, is `docs/grammar.ebnf`; the parser methods follow its
+productions.  Every diagnostic is a SymbolSyntaxError carrying the
+character position; parsing never raises anything else on bad input.
 """
 
 from __future__ import annotations
 
 import cmath
+import math
 import re
 from dataclasses import dataclass
 
@@ -133,9 +121,10 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "number":
             self.advance()
-            if tok.text.endswith("i"):
-                return constant(self.n, 1j * float(tok.text[:-1]))
-            return constant(self.n, float(tok.text))
+            value = float(tok.text.rstrip("i"))
+            if not math.isfinite(value):
+                raise SymbolSyntaxError(f"number {tok.text!r} is out of float range", tok.pos)
+            return constant(self.n, 1j * value if tok.text.endswith("i") else value)
         if tok.kind == "coord":
             self.advance()
             k = int(tok.text[1:])
@@ -206,11 +195,12 @@ class _Parser:
                 raise SymbolSyntaxError(
                     "exp argument must be affine in the coordinates", pos
                 )
+        try:
+            coef = cmath.exp(const)
+        except OverflowError:
+            raise SymbolSyntaxError("exp of the constant part overflows", pos) from None
         zeros = (0,) * self.n
-        return Symbol(
-            self.n,
-            [SymbolTerm(cmath.exp(const), zeros, zeros, tuple(c), tuple(d))],
-        )
+        return Symbol(self.n, [SymbolTerm(coef, zeros, zeros, tuple(c), tuple(d))])
 
 
 def parse_symbol(text: str, n: int) -> Symbol:

@@ -17,15 +17,13 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .berezin import berezin, operator_berezin
 from .gaussian import gaussian_moment
-from .indices import mi_enumerate, mi_factorial
+from .indices import mi_enumerate
 from .oracle import lemma_l1_check, quad_integral
 from .sharp import sharp
 from .symbols import (
@@ -38,7 +36,7 @@ from .symbols import (
     relative_residual,
     zero,
 )
-from .toeplitz import OpChain, brown_halmos_h, commutator_defect, op_equal_on_basis
+from .toeplitz import OpChain, basis_images, brown_halmos_h, commutator_defect, op_equal_on_basis
 
 DEFAULT_SEED = 0xF0CC
 DEFAULT_N = 2
@@ -247,10 +245,7 @@ def _suite_zero_product(cfg: SuiteConfig) -> list[CaseResult]:
         d = 1 + j % min(cfg.n, 2)
         f, g, u, v = _random_pluriharmonic_parts(rng, d)
         chain = OpChain([f + g.conj(), u + v.conj()])
-        biggest = 0.0
-        for alpha in mi_enumerate(d, 4):
-            e = monomial(d, alpha, coef=1.0 / mi_factorial(alpha) ** 0.5)
-            biggest = max(biggest, chain.apply(e).coeff_norm())
+        biggest = max(img.coeff_norm() for _, img in basis_images(chain, 4))
         cases.append(_case_ge(f"nonzero-pair-survives-{j}", biggest, 1e-8))
 
     f, g, u, v = _random_pluriharmonic_parts(rng, cfg.n)
@@ -258,10 +253,7 @@ def _suite_zero_product(cfg: SuiteConfig) -> list[CaseResult]:
         ("zero-first-factor-annihilates", OpChain([zero(cfg.n), u + v.conj()])),
         ("zero-second-factor-annihilates", OpChain([f + g.conj(), zero(cfg.n)])),
     ):
-        biggest = 0.0
-        for alpha in mi_enumerate(cfg.n, 4):
-            e = monomial(cfg.n, alpha, coef=1.0 / mi_factorial(alpha) ** 0.5)
-            biggest = max(biggest, chain.apply(e).coeff_norm())
+        biggest = max(img.coeff_norm() for _, img in basis_images(chain, 4))
         cases.append(_case_le(name, biggest, EXACT_TOL))
     return cases
 
@@ -287,13 +279,10 @@ def _suite_sharp_operator_law(cfg: SuiteConfig) -> list[CaseResult]:
         for _ in range(2)
     ]
     total = sharp(pairs[0][0], pairs[0][1]) + sharp(pairs[1][0], pairs[1][1])
+    chains = [OpChain([f, g.conj()]) for f, g in pairs] + [OpChain([total])]
     worst = 0.0
-    for alpha in mi_enumerate(cfg.n, 4):
-        e = monomial(cfg.n, alpha, coef=1.0 / mi_factorial(alpha) ** 0.5)
-        lhs = zero(cfg.n)
-        for f, g in pairs:
-            lhs = lhs + OpChain([f, g.conj()]).apply(e)
-        rhs = OpChain([total]).apply(e)
+    for (_, r1), (_, r2), (_, rhs) in zip(*(basis_images(c, 4) for c in chains)):
+        lhs = r1 + r2
         worst = max(worst, (lhs - rhs).coeff_norm() / max(1.0, lhs.coeff_norm()))
     cases.append(_case_le("two-term-sum-linearity", worst, cfg.tol))
     return cases
@@ -539,14 +528,6 @@ SUITES = {
 SUITE_NAMES = tuple(SUITES) + ("all",)
 
 
-def default_workers() -> int:
-    env = os.environ.get("FOCKCALC_THREADS", "")
-    try:
-        return max(1, int(env))
-    except ValueError:
-        return max(1, os.cpu_count() or 1)
-
-
 def run_suite(
     name: str,
     n: int = DEFAULT_N,
@@ -555,7 +536,12 @@ def run_suite(
     tol: float = DEFAULT_TOL,
     workers: int | None = None,
 ) -> VerificationReport:
-    """Run one named suite (or "all"); deterministic given the configuration."""
+    """Run one named suite (or "all"); deterministic given the configuration.
+
+    "all" runs the entries of SUITES in order on the calling thread.
+    `workers` is accepted and ignored, so that callers which still pass it
+    keep working.
+    """
     if name not in SUITE_NAMES:
         raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
     if not 1 <= n <= 3:
@@ -565,21 +551,13 @@ def run_suite(
     if tol <= 0:
         raise ValueError("tolerance must be positive")
     cfg = SuiteConfig(n=n, degree=degree, seed=seed, tol=tol)
-    if workers is None:
-        workers = default_workers()
 
     start = time.perf_counter()
     if name == "all":
-        runs = list(SUITES.items())
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(lambda kv: kv[1](cfg), runs))
-        else:
-            results = [fn(cfg) for _, fn in runs]
         cases = tuple(
             CaseResult(f"{sname}/{c.name}", c.residual, c.tol, c.passed)
-            for (sname, _), suite_cases in zip(runs, results)
-            for c in suite_cases
+            for sname, fn in SUITES.items()
+            for c in fn(cfg)
         )
     else:
         cases = tuple(SUITES[name](cfg))
@@ -597,7 +575,9 @@ def run_suite(
 
 
 def _f17(x: float) -> str:
-    return f"{float(x):.17g}"
+    """17 significant digits; JSON has no NaN or infinity, so those render as null."""
+    x = float(x)
+    return f"{x:.17g}" if math.isfinite(x) else "null"
 
 
 def report_to_json(report: VerificationReport) -> str:

@@ -23,7 +23,7 @@ invariant class.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .indices import MultiIndex, mi_enumerate, mi_factorial
 from .sharp import sharp
@@ -86,6 +86,18 @@ class BasisEqualityReport:
     passed: bool
 
 
+def basis_images(chain: OpChain, degree: int) -> Iterator[tuple[MultiIndex, Symbol]]:
+    """Yield (alpha, chain applied to z^alpha / sqrt(alpha!)) for |alpha| <= degree.
+
+    The normalized monomials are the orthonormal Fock basis elements of
+    degree at most `degree`; alpha runs in `mi_enumerate(chain.n, degree)`
+    order.
+    """
+    n = chain.n
+    for alpha in mi_enumerate(n, degree):
+        yield alpha, chain.apply(monomial(n, alpha, coef=1.0 / mi_factorial(alpha) ** 0.5))
+
+
 def op_equal_on_basis(
     a: OpChain, b: OpChain, degree: int = 6, tol: float = 1e-9
 ) -> BasisEqualityReport:
@@ -97,13 +109,9 @@ def op_equal_on_basis(
     """
     if a.n != b.n:
         raise ValueError(f"dimension mismatch: {a.n} vs {b.n}")
-    n = a.n
     worst = 0.0
-    worst_alpha: MultiIndex = (0,) * n
-    for alpha in mi_enumerate(n, degree):
-        e = monomial(n, alpha, coef=1.0 / mi_factorial(alpha) ** 0.5)
-        ra = a.apply(e)
-        rb = b.apply(e)
+    worst_alpha: MultiIndex = (0,) * a.n
+    for (alpha, ra), (_, rb) in zip(basis_images(a, degree), basis_images(b, degree)):
         res = (ra - rb).coeff_norm() / max(1.0, ra.coeff_norm())
         if res > worst:
             worst = res

@@ -65,6 +65,9 @@ def test_structured_diagnostics_carry_positions():
         ("K(1)", 0),  # arity at n = 2
         ("1 @ 2", 2),
         ("(1+2i", 5),
+        ("1e400 - 1e400 + z1", 0),  # inf - inf must not cancel to z1
+        ("1e400*z1", 0),
+        ("z1 + 2e400i", 5),
     ]
     for text, pos in cases:
         with pytest.raises(SymbolSyntaxError) as err:

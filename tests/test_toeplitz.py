@@ -19,6 +19,7 @@ from fockcalc.symbols import (
 )
 from fockcalc.toeplitz import (
     OpChain,
+    basis_images,
     brown_halmos_h,
     commutator_defect,
     op_equal_on_basis,
@@ -122,6 +123,14 @@ def test_guards():
 
 
 # -- chain equality on bases --------------------------------------------------
+
+
+def test_basis_images_are_the_orthonormal_monomials():
+    for n, degree in ((1, 6), (2, 4), (3, 3)):
+        images = list(basis_images(OpChain([constant(n, 1)]), degree))
+        assert [alpha for alpha, _ in images] == mi_enumerate(n, degree)
+        for _, e in images:
+            assert abs(fock_inner(e, e) - 1.0) <= 1e-12
 
 
 def test_equal_chains_have_zero_residual():
