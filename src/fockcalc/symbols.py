@@ -19,7 +19,12 @@ exponential parameters c, d compare with an absolute tolerance of 1e-9 so
 that float noise like c + c' - c' re-merges with c; coefficients whose
 modulus falls below 1e-12 * max(1, largest modulus) are dropped; terms are
 ordered graded-lex on (a, b), then lexicographically on the real/imaginary
-parts of (c, d).  The zero symbol is the empty term list.
+parts of (c, d).  The zero symbol is the empty term list.  Within one
+monomial (a, b), keys are clustered in that parameter order: each joins the
+first group whose representative is within tolerance, and a group's
+representative -- the (c, d) its merged term keeps -- is its first key in
+parameter order.  A coefficient that is not finite, or whose modulus
+overflows, raises ValueError.
 
 Only this closed class is representable: no power series, no essential
 singularities.  General symbols of at-most-Gaussian growth exist beyond it,
@@ -80,15 +85,15 @@ def _vec_sort_key(v: ComplexVector):
     return tuple(p for x in v for p in (x.real, x.imag))
 
 
-def _term_sort_key(entry):
-    a, b, c, d = entry
-    return (
-        sum(a) + sum(b),
-        tuple(-k for k in a),
-        tuple(-k for k in b),
-        _vec_sort_key(c),
-        _vec_sort_key(d),
-    )
+def _ab_sort_key(ab):
+    # Sorted in reverse, this is the graded-lex order: ascending degree, then
+    # descending a, then descending b.  No two monomials tie, so reversing
+    # cannot reorder equal keys.
+    return (-sum(ab[0]) - sum(ab[1]), ab)
+
+
+def _param_sort_key(key):
+    return (_vec_sort_key(key[2]), _vec_sort_key(key[3]))
 
 
 def _canonicalize(n: int, raw: Iterable[SymbolTerm]) -> tuple[SymbolTerm, ...]:
@@ -101,35 +106,47 @@ def _canonicalize(n: int, raw: Iterable[SymbolTerm]) -> tuple[SymbolTerm, ...]:
         key = (t.a, t.b, t.c, t.d)
         exact[key] = exact.get(key, 0j) + complex(t.coef)
 
-    # Phase 2: cluster keys whose exponential parameters agree within
-    # PARAM_TOL componentwise.  Keys are visited in sorted order, so the
-    # group representative (first-seen key) is deterministic.
+    # Phase 2: cluster keys of one monomial (a, b) whose exponential
+    # parameters agree within PARAM_TOL componentwise.  Monomials are visited
+    # in output order and each one's keys in parameter order, so groups come
+    # out in output order with a deterministic representative.
+    by_ab: dict[tuple, list[tuple]] = {}
+    for key in exact:
+        by_ab.setdefault(key[:2], []).append(key)
     groups: list[list] = []  # [a, b, c, d, coef]
-    by_ab: dict[tuple, list[int]] = {}
-    for key in sorted(exact, key=_term_sort_key):
-        a, b, c, d = key
-        coef = exact[key]
-        merged = False
-        for gi in by_ab.get((a, b), ()):
-            g = groups[gi]
-            if _vec_close(g[2], c) and _vec_close(g[3], d):
-                g[4] += coef
-                merged = True
-                break
-        if not merged:
-            by_ab.setdefault((a, b), []).append(len(groups))
-            groups.append([a, b, c, d, coef])
+    for ab in sorted(by_ab, key=_ab_sort_key, reverse=True):
+        keys = by_ab[ab]
+        if len(keys) > 1:
+            keys.sort(key=_param_sort_key)
+        mine: list[list] = []  # the groups of this monomial
+        for key in keys:
+            a, b, c, d = key
+            coef = exact[key]
+            for g in mine:
+                if _vec_close(g[2], c) and _vec_close(g[3], d):
+                    g[4] += coef
+                    break
+            else:
+                g = [a, b, c, d, coef]
+                mine.append(g)
+                groups.append(g)
 
-    # Phase 3: drop coefficients below the relative floor.
+    # Phase 3: reject non-finite coefficients, drop those below the relative
+    # floor.  Finite moduli can still sum to inf, so only a failed sum pays
+    # for the per-term test.
     if not groups:
         return ()
-    biggest = max(abs(g[4]) for g in groups)
-    floor = COEF_FLOOR * max(1.0, biggest)
-    terms = [
-        SymbolTerm(g[4], g[0], g[1], g[2], g[3]) for g in groups if abs(g[4]) >= floor
-    ]
-    terms.sort(key=lambda t: _term_sort_key((t.a, t.b, t.c, t.d)))
-    return tuple(terms)
+    try:
+        mags = [abs(g[4]) for g in groups]
+    except OverflowError:  # finite parts, modulus beyond the float range
+        raise ValueError("coefficient modulus overflows the float range") from None
+    if not math.isfinite(sum(mags)) and not all(map(math.isfinite, mags)):
+        bad = next(g for g, m in zip(groups, mags) if not math.isfinite(m))
+        raise ValueError(f"non-finite coefficient {bad[4]} at z^{bad[0]} conj(z)^{bad[1]}")
+    floor = COEF_FLOOR * max(1.0, max(mags))
+    return tuple(
+        [SymbolTerm(g[4], g[0], g[1], g[2], g[3]) for g, m in zip(groups, mags) if m >= floor]
+    )
 
 
 class Symbol:

@@ -46,7 +46,8 @@ def toeplitz_apply(phi: Symbol, u: Symbol) -> Symbol:
         if any(x != 0 for x in t.d):
             v = v.shift(tuple(-x for x in t.d))  # substitute z + d
         out = out + v.scale(t.coef)
-    assert out.is_holomorphic
+    if not out.is_holomorphic:
+        raise ValueError("toeplitz_apply produced a non-holomorphic result")
     return out
 
 

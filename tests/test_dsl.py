@@ -75,6 +75,13 @@ def test_structured_diagnostics_carry_positions():
         assert err.value.position == pos, (text, err.value.position)
 
 
+def test_arithmetic_overflow_rejected():
+    # every literal is finite; the product is not
+    for text in ("1e308*10", "1e200*z1 * 1e200*conj(z1)"):
+        with pytest.raises(ValueError, match="non-finite coefficient"):
+            parse_symbol(text, 1)
+
+
 def test_trailing_input_rejected():
     with pytest.raises(SymbolSyntaxError):
         parse_symbol("z1 z1", 1)

@@ -126,6 +126,10 @@ def test_cli_exit_codes(capsys):
         assert main(["parse", "-s", text, "--n", "1"]) == 2
         err = capsys.readouterr().err
         assert "position" in err and "Traceback" not in err
+    for text in ("1e308*10", "1.5e308 + 1.5e308i"):  # overflow in arithmetic, in a modulus
+        assert main(["parse", "-s", text, "--n", "1"]) == 2
+        err = capsys.readouterr().err
+        assert "coefficient" in err and "Traceback" not in err
 
     assert main(["verify", "--suite", "lemma-l1"]) == 0
     capsys.readouterr()

@@ -3,8 +3,12 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fockcalc.symbols import (
+    COEF_FLOOR,
+    PARAM_TOL,
     Symbol,
     SymbolTerm,
     constant,
@@ -15,6 +19,7 @@ from fockcalc.symbols import (
     relative_residual,
     zero,
 )
+from fockcalc.symbols import _canonicalize, _vec_close, _vec_sort_key
 
 Z = coordinate(1, 1)
 
@@ -106,6 +111,105 @@ def test_term_order_is_graded_lex():
     degrees = [t.degree for t in s.terms]
     assert degrees == sorted(degrees)
     assert s.terms[1].a == (1, 0) and s.terms[2].a == (0, 1)
+
+
+def test_canon_rejects_non_finite_coefficients():
+    for coef in (math.inf, -math.inf, math.nan, complex(0, math.inf)):
+        with pytest.raises(ValueError, match="non-finite coefficient"):
+            Symbol(1, [term(coef, (1,))])
+    with pytest.raises(ValueError, match="non-finite coefficient"):
+        constant(1, 1e308) * 10
+    with pytest.raises(ValueError, match="overflows"):
+        Symbol(1, [term(complex(1.5e308, 1.5e308), (1,))])
+    # finite moduli whose sum overflows are still a valid symbol
+    s = Symbol(1, [term(1e308, (0,)), term(1e308, (1,))])
+    assert [t.coef for t in s.terms] == [1e308, 1e308]
+
+
+# -- canonical form against the sort-twice reference ----------------------------
+
+
+def _reference_term_sort_key(entry):
+    a, b, c, d = entry
+    return (
+        sum(a) + sum(b),
+        tuple(-k for k in a),
+        tuple(-k for k in b),
+        _vec_sort_key(c),
+        _vec_sort_key(d),
+    )
+
+
+def _reference_canonicalize(n, raw):
+    """Canonicalization by one global sort of all keys and a second sort of
+    the result; kept as the oracle whose output must be reproduced exactly."""
+    exact = {}
+    for t in raw:
+        key = (t.a, t.b, t.c, t.d)
+        exact[key] = exact.get(key, 0j) + complex(t.coef)
+    groups = []
+    by_ab = {}
+    for key in sorted(exact, key=_reference_term_sort_key):
+        a, b, c, d = key
+        coef = exact[key]
+        merged = False
+        for gi in by_ab.get((a, b), ()):
+            g = groups[gi]
+            if _vec_close(g[2], c) and _vec_close(g[3], d):
+                g[4] += coef
+                merged = True
+                break
+        if not merged:
+            by_ab.setdefault((a, b), []).append(len(groups))
+            groups.append([a, b, c, d, coef])
+    if not groups:
+        return ()
+    biggest = max(abs(g[4]) for g in groups)
+    floor = COEF_FLOOR * max(1.0, biggest)
+    terms = [
+        SymbolTerm(g[4], g[0], g[1], g[2], g[3]) for g in groups if abs(g[4]) >= floor
+    ]
+    terms.sort(key=lambda t: _reference_term_sort_key((t.a, t.b, t.c, t.d)))
+    return tuple(terms)
+
+
+# parameter parts at, just inside and just outside the merge tolerance; 0 and
+# 1.2e-9 do not merge, but each merges with 0.6e-9
+_PARAM_PARTS = [0.0, -0.0, 0.6e-9, -0.6e-9, 1.2e-9, -1.2e-9, PARAM_TOL, -PARAM_TOL, 0.25]
+# moduli on both sides of the 1e-12 floor, for a largest modulus of 1 and of 3
+_COEF_PARTS = [0.0, -0.0, 1.0, -1.0, 3.0, 1e-12, 0.999e-12, 1.001e-12, -2.99e-12, 3.01e-12, 1e-13]
+
+
+@st.composite
+def _raw_terms(draw):
+    n = draw(st.integers(1, 3))
+    part = st.sampled_from(_PARAM_PARTS)
+    param = st.builds(complex, part, part)
+    vec = st.tuples(*[param] * n)
+    expo = st.tuples(*[st.integers(0, 1)] * n)
+    # few monomials and many parameter vectors: several keys per (a, b)
+    monomials = draw(st.lists(st.tuples(expo, expo), min_size=1, max_size=3))
+    keys = draw(
+        st.lists(st.tuples(st.sampled_from(monomials), vec, vec), min_size=1, max_size=8)
+    )
+    coef_part = st.one_of(st.sampled_from(_COEF_PARTS), st.floats(-3, 3))
+    # drawing terms from a short key list repeats exact keys
+    raw = draw(
+        st.lists(
+            st.tuples(st.sampled_from(keys), st.builds(complex, coef_part, coef_part)),
+            max_size=16,
+        )
+    )
+    return n, [SymbolTerm(coef, a, b, c, d) for ((a, b), c, d), coef in raw]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_raw_terms())
+@example((1, [term(1, (0,)), term(COEF_FLOOR, (1,))]))  # a modulus exactly at the floor
+def test_canon_matches_sort_twice_reference_exactly(case):
+    n, raw = case
+    got = [repr(t) for t in _canonicalize(n, raw)]
+    assert got == [repr(t) for t in _reference_canonicalize(n, raw)]
 
 
 # -- products -----------------------------------------------------------------

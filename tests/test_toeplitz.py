@@ -3,12 +3,13 @@ import random
 
 import pytest
 
-from fockcalc.berezin import berezin
+from fockcalc.berezin import berezin, operator_berezin
 from fockcalc.gaussian import fock_inner, symbol_integral
 from fockcalc.indices import mi_enumerate, mi_factorial
 from fockcalc.sharp import sharp
 from fockcalc.suites import random_holo, random_polynomial, unit_disc
 from fockcalc.symbols import (
+    Symbol,
     constant,
     coordinate,
     exponential,
@@ -120,6 +121,16 @@ def test_guards():
         OpChain([])
     with pytest.raises(ValueError):
         OpChain([Z, coordinate(2, 1)])
+
+
+def test_non_holomorphic_result_raises(monkeypatch):
+    # a broken step must fail with an error that survives `python -O`
+    monkeypatch.setattr(Symbol, "shift", lambda self, eta: Z.conj())
+    phi = exponential(1, d=(0.5,))
+    with pytest.raises(ValueError, match="non-holomorphic"):
+        toeplitz_apply(phi, Z)
+    with pytest.raises(ValueError, match="non-holomorphic"):
+        operator_berezin(OpChain([phi]), (0.1,))
 
 
 # -- chain equality on bases --------------------------------------------------
