@@ -24,7 +24,7 @@ import cmath
 import math
 
 from .symbols import Symbol, SymbolTerm, _as_cvector, constant, exponential, kernel
-from .toeplitz import OpChain, toeplitz_apply
+from .toeplitz import OpChain
 
 
 def _shifted_power(n: int, k: int, offset: complex, m: int, anti: bool) -> Symbol:
@@ -73,8 +73,6 @@ def operator_berezin(chain: OpChain, zeta) -> complex:
     operator against the normalized kernel.
     """
     zeta = _as_cvector(zeta, chain.n)
-    u = kernel(zeta)
-    for phi in reversed(chain.symbols):
-        u = toeplitz_apply(phi, u)
+    u = chain.apply(kernel(zeta))
     norm2 = sum(abs(z) ** 2 for z in zeta)
     return cmath.exp(-norm2) * u.eval(zeta)

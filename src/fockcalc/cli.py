@@ -3,13 +3,15 @@
 Subcommands: berezin, sharp, toeplitz-apply, moment, oracle, verify, parse.
 Symbols are written in the text notation of `fockcalc.dsl` and passed with
 repeatable -s/--symbol flags.  `verify` runs named suites and emits the
-deterministic JSON report.  Exit codes: 0 success / report passed, 1 a
-verification case failed, 2 usage or input error.
+deterministic JSON report.  Each subcommand accepts only the flags it
+reads; any other flag is a usage error.  Exit codes: 0 success / report
+passed, 1 a verification case failed, 2 usage or input error.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 
 from .berezin import berezin
@@ -30,34 +32,6 @@ from .symbols import Symbol
 from .toeplitz import OpChain
 
 
-def _add_shared(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--n", type=int, default=DEFAULT_N, help="ambient dimension")
-    p.add_argument(
-        "-s",
-        "--symbol",
-        action="append",
-        default=[],
-        metavar="TEXT",
-        help="symbol in the text notation (repeatable)",
-    )
-    p.add_argument(
-        "--at",
-        metavar="POINT",
-        help="evaluation point: comma-separated complex components, e.g. '0.5+0.5i,1'",
-    )
-    p.add_argument("--degree", type=int, default=DEFAULT_DEGREE, help="basis degree bound")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="suite random seed")
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL, help="residual tolerance")
-    p.add_argument("--json", action="store_true", help="emit JSON instead of text")
-    p.add_argument("--out", metavar="PATH", help="write the output to a file as well")
-    p.add_argument(
-        "--suite",
-        default="all",
-        choices=SUITE_NAMES,
-        help="suite name or 'all' (used by verify)",
-    )
-
-
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="fockcalc",
@@ -75,13 +49,48 @@ def _build_parser() -> argparse.ArgumentParser:
         ("verify", "run verification suites"),
     ]:
         p = sub.add_parser(name, help=helptext)
-        _add_shared(p)
-        if name == "oracle":
-            p.add_argument("--order", type=int, default=None, help="quadrature order per axis")
+        p.add_argument("--n", type=int, default=DEFAULT_N, help="ambient dimension")
+        if name == "verify":
+            p.set_defaults(run=_verify)
+            p.add_argument(
+                "--suite", default="all", choices=SUITE_NAMES, help="suite name or 'all'"
+            )
+            p.add_argument("--degree", type=int, default=DEFAULT_DEGREE, help="basis degree bound")
+            p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="suite random seed")
+            p.add_argument("--tol", type=float, default=DEFAULT_TOL, help="residual tolerance")
+        else:
+            p.set_defaults(run=_calculate)
+            p.add_argument(
+                "-s",
+                "--symbol",
+                action="append",
+                default=[],
+                metavar="TEXT",
+                help="symbol in the text notation (repeatable)",
+            )
+            if name == "oracle":
+                p.add_argument("--order", type=int, default=None, help="quadrature order per axis")
+            elif name != "moment":
+                p.add_argument(
+                    "--at",
+                    metavar="POINT",
+                    help="evaluation point: comma-separated complex components, e.g. '0.5+0.5i,1'",
+                )
+        p.add_argument("--json", action="store_true", help="emit JSON instead of text")
+        p.add_argument("--out", metavar="PATH", help="write the output to a file as well")
     return ap
 
 
-def _parse_symbols(args) -> list[Symbol]:
+def _symbols(args, count: int, too_few: str | None = None) -> list[Symbol]:
+    """The parsed --symbol texts: exactly `count` of them, or at least `count`
+    when `too_few` gives the error for fewer."""
+    found = len(args.symbol)
+    if too_few is None and found != count:
+        raise SymbolSyntaxError(
+            f"{args.command} needs exactly {count} --symbol argument(s), found {found}", 0
+        )
+    if found < count:
+        raise SymbolSyntaxError(too_few, 0)
     return [parse_symbol(text, args.n) for text in args.symbol]
 
 
@@ -101,62 +110,36 @@ def _emit(args, payload_json: str, payload_text: str) -> None:
 
 
 def _symbol_output(args, result: Symbol) -> None:
-    import json as _json
-
     text = format_symbol(result)
-    lines = [text]
-    values = []
-    if args.at:
-        point = _parse_point(args.at, args.n)
-        value = result.eval(point)
-        values.append(_fmt_coef(value))
-        lines.append(f"at ({args.at}): {_fmt_coef(value)}")
     payload = {"symbol": text}
-    if values:
-        payload["at"] = args.at
-        payload["value"] = values[0]
-    _emit(args, _json.dumps(payload), "\n".join(lines))
+    lines = [text]
+    if args.at:
+        value = _fmt_coef(result.eval(_parse_point(args.at, args.n)))
+        payload.update(at=args.at, value=value)
+        lines.append(f"at ({args.at}): {value}")
+    _emit(args, json.dumps(payload), "\n".join(lines))
 
 
-def _run(args) -> int:
+def _calculate(args) -> int:
     if args.command == "parse":
-        if len(args.symbol) < 1:
-            raise SymbolSyntaxError("parse needs at least one --symbol", 0)
-        for text in args.symbol:
-            _symbol_output(args, parse_symbol(text, args.n))
-        return 0
-
-    if args.command == "berezin":
-        (s,) = _require_symbols(args, 1)
+        for s in _symbols(args, 1, "parse needs at least one --symbol"):
+            _symbol_output(args, s)
+    elif args.command == "toeplitz-apply":
+        *chain, u = _symbols(
+            args, 2, "toeplitz-apply needs chain symbols plus the argument (>= 2 --symbol)"
+        )
+        _symbol_output(args, OpChain(chain).apply(u))
+    elif args.command == "sharp":
+        _symbol_output(args, sharp(*_symbols(args, 2)))
+    elif args.command == "berezin":
+        (s,) = _symbols(args, 1)
         _symbol_output(args, berezin(s))
-        return 0
-
-    if args.command == "sharp":
-        f, g = _require_symbols(args, 2)
-        _symbol_output(args, sharp(f, g))
-        return 0
-
-    if args.command == "toeplitz-apply":
-        symbols = _parse_symbols(args)
-        if len(symbols) < 2:
-            raise SymbolSyntaxError(
-                "toeplitz-apply needs chain symbols plus the argument (>= 2 --symbol)", 0
-            )
-        _symbol_output(args, OpChain(symbols[:-1]).apply(symbols[-1]))
-        return 0
-
-    if args.command == "moment":
-        import json as _json
-
-        (s,) = _require_symbols(args, 1)
-        value = symbol_integral(s)
-        _emit(args, _json.dumps({"moment": _fmt_coef(value)}), _fmt_coef(value))
-        return 0
-
-    if args.command == "oracle":
-        import json as _json
-
-        (s,) = _require_symbols(args, 1)
+    elif args.command == "moment":
+        (s,) = _symbols(args, 1)
+        value = _fmt_coef(symbol_integral(s))
+        _emit(args, json.dumps({"moment": value}), value)
+    else:  # oracle
+        (s,) = _symbols(args, 1)
         quad = quad_integral(s, args.order)
         closed = symbol_integral(s)
         diff = abs(quad - closed)
@@ -170,50 +153,30 @@ def _run(args) -> int:
             f"closed form: {_fmt_coef(closed)}\n"
             f"difference : {diff:.3e}"
         )
-        _emit(args, _json.dumps(payload), text)
-        return 0
-
-    if args.command == "verify":
-        report = run_suite(
-            args.suite,
-            n=args.n,
-            degree=args.degree,
-            seed=args.seed,
-            tol=args.tol,
-        )
-        body_json = report_to_json(report)
-        lines = []
-        for c in report.cases:
-            flag = "pass" if c.passed else "FAIL"
-            lines.append(f"[{flag}] {c.name} residual={c.residual:.3e} tol={c.tol:.3e}")
-        lines.append(
-            f"suite={report.suite} n={report.n} degree={report.degree} "
-            f"seed={report.seed} cases={len(report.cases)} "
-            f"result={'pass' if report.passed else 'FAIL'} ({report.duration_ms} ms)"
-        )
-        _emit(args, body_json, "\n".join(lines))
-        return 0 if report.passed else 1
-
-    raise AssertionError(f"unhandled command {args.command}")
+        _emit(args, json.dumps(payload), text)
+    return 0
 
 
-def _require_symbols(args, count: int) -> list[Symbol]:
-    symbols = _parse_symbols(args)
-    if len(symbols) != count:
-        raise SymbolSyntaxError(
-            f"{args.command} needs exactly {count} --symbol argument(s), found {len(symbols)}", 0
-        )
-    return symbols
+def _verify(args) -> int:
+    report = run_suite(args.suite, n=args.n, degree=args.degree, seed=args.seed, tol=args.tol)
+    lines = [
+        f"[{'pass' if c.passed else 'FAIL'}] {c.name} residual={c.residual:.3e} tol={c.tol:.3e}"
+        for c in report.cases
+    ]
+    lines.append(
+        f"suite={report.suite} n={report.n} degree={report.degree} "
+        f"seed={report.seed} cases={len(report.cases)} "
+        f"result={'pass' if report.passed else 'FAIL'} ({report.duration_ms} ms)"
+    )
+    _emit(args, report_to_json(report), "\n".join(lines))
+    return 0 if report.passed else 1
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return _run(args)
-    except SymbolSyntaxError as exc:
-        print(f"fockcalc: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+        return args.run(args)
+    except (ValueError, OSError) as exc:
         print(f"fockcalc: {exc}", file=sys.stderr)
         return 2
 

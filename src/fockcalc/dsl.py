@@ -13,7 +13,7 @@ import math
 import re
 from dataclasses import dataclass
 
-from .symbols import Symbol, SymbolTerm, constant, coordinate, kernel
+from .symbols import Symbol, constant, coordinate, exponential, kernel
 
 
 class SymbolSyntaxError(ValueError):
@@ -199,8 +199,7 @@ class _Parser:
             coef = cmath.exp(const)
         except OverflowError:
             raise SymbolSyntaxError("exp of the constant part overflows", pos) from None
-        zeros = (0,) * self.n
-        return Symbol(self.n, [SymbolTerm(coef, zeros, zeros, tuple(c), tuple(d))])
+        return exponential(self.n, c, d, coef)
 
 
 def parse_symbol(text: str, n: int) -> Symbol:

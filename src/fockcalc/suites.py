@@ -282,8 +282,7 @@ def _suite_sharp_operator_law(cfg: SuiteConfig) -> list[CaseResult]:
     chains = [OpChain([f, g.conj()]) for f, g in pairs] + [OpChain([total])]
     worst = 0.0
     for (_, r1), (_, r2), (_, rhs) in zip(*(basis_images(c, 4) for c in chains)):
-        lhs = r1 + r2
-        worst = max(worst, (lhs - rhs).coeff_norm() / max(1.0, lhs.coeff_norm()))
+        worst = max(worst, relative_residual(rhs, r1 + r2))
     cases.append(_case_le("two-term-sum-linearity", worst, cfg.tol))
     return cases
 
@@ -548,8 +547,8 @@ def run_suite(
         raise ValueError("suite dimension must be between 1 and 3")
     if not 0 <= degree <= 10:
         raise ValueError("basis degree bound must be between 0 and 10")
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError("tolerance must be positive and finite")
     cfg = SuiteConfig(n=n, degree=degree, seed=seed, tol=tol)
 
     start = time.perf_counter()

@@ -27,7 +27,7 @@ from typing import Iterator, Sequence
 
 from .indices import MultiIndex, mi_enumerate, mi_factorial
 from .sharp import sharp
-from .symbols import Symbol, exponential, monomial
+from .symbols import Symbol, exponential, monomial, relative_residual
 
 
 def toeplitz_apply(phi: Symbol, u: Symbol) -> Symbol:
@@ -113,7 +113,7 @@ def op_equal_on_basis(
     worst = 0.0
     worst_alpha: MultiIndex = (0,) * a.n
     for (alpha, ra), (_, rb) in zip(basis_images(a, degree), basis_images(b, degree)):
-        res = (ra - rb).coeff_norm() / max(1.0, ra.coeff_norm())
+        res = relative_residual(rb, ra)
         if res > worst:
             worst = res
             worst_alpha = alpha

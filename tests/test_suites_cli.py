@@ -1,8 +1,10 @@
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
-from fockcalc.cli import main
+from fockcalc.cli import _build_parser, main
 from fockcalc.suites import (
     SUITES,
     CaseResult,
@@ -40,8 +42,9 @@ def test_resource_guards():
         run_suite("prop-l3", n=4)
     with pytest.raises(ValueError):
         run_suite("prop-l3", degree=11)
-    with pytest.raises(ValueError):
-        run_suite("prop-l3", tol=-1.0)
+    for tol in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            run_suite("prop-l3", tol=tol)
 
 
 def test_cor_c4_keeps_failing_case_as_pass():
@@ -121,7 +124,7 @@ def test_cli_json_payloads(capsys):
     assert float(data["abs_difference"]) < 1e-6
 
 
-def test_cli_exit_codes(capsys):
+def test_cli_exit_codes(capsys, tmp_path):
     for text in ("exp(z1^2)", "exp(1000)"):
         assert main(["parse", "-s", text, "--n", "1"]) == 2
         err = capsys.readouterr().err
@@ -131,6 +134,11 @@ def test_cli_exit_codes(capsys):
         err = capsys.readouterr().err
         assert "coefficient" in err and "Traceback" not in err
 
+    missing = tmp_path / "missing" / "x.txt"
+    assert main(["parse", "-s", "z1", "--n", "1", "--out", str(missing)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("fockcalc: ") and "Traceback" not in err
+
     assert main(["verify", "--suite", "lemma-l1"]) == 0
     capsys.readouterr()
 
@@ -138,6 +146,54 @@ def test_cli_exit_codes(capsys):
         main(["verify", "--suite", "nope"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+SYMBOL_FLAGS = {"--n", "-s", "--symbol", "--json", "--out"}
+CLI_FLAGS = {
+    "parse": SYMBOL_FLAGS | {"--at"},
+    "berezin": SYMBOL_FLAGS | {"--at"},
+    "sharp": SYMBOL_FLAGS | {"--at"},
+    "toeplitz-apply": SYMBOL_FLAGS | {"--at"},
+    "moment": SYMBOL_FLAGS,
+    "oracle": SYMBOL_FLAGS | {"--order"},
+    "verify": {"--n", "--suite", "--degree", "--seed", "--tol", "--json", "--out"},
+}
+
+
+def test_cli_subcommands_take_only_the_flags_they_read():
+    (sub,) = [a for a in _build_parser()._actions if a.choices and "verify" in a.choices]
+    flags = {
+        name: {s for a in p._actions for s in a.option_strings} - {"-h", "--help"}
+        for name, p in sub.choices.items()
+    }
+    assert flags == CLI_FLAGS
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["berezin", "-s", "z1", "--suite", "all"],
+        ["moment", "-s", "z1", "--at", "1"],
+        ["verify", "--suite", "lemma-l1", "-s", "z1"],
+        ["parse", "-s", "z1", "--seed", "1"],
+        ["oracle", "-s", "z1", "--at", "1"],
+    ],
+)
+def test_cli_rejects_a_flag_the_subcommand_does_not_read(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--n", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_cli_readme_examples_run(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.startswith("fockcalc ")]
+    assert len(lines) == 7
+    for line in lines:
+        assert main(shlex.split(line, comments=True)[1:]) == 0, line
+        assert capsys.readouterr().out
 
 
 def test_cli_verify_exit_one_on_case_failure(capsys, monkeypatch):
