@@ -23,46 +23,25 @@ from __future__ import annotations
 import cmath
 import math
 
-from .symbols import Symbol, SymbolTerm, _as_cvector, constant, exponential, kernel
+from .symbols import Symbol, _as_cvector, _binomial, _exp_factor, _expand, kernel
 from .toeplitz import OpChain
-
-
-def _shifted_power(n: int, k: int, offset: complex, m: int, anti: bool) -> Symbol:
-    """(z_k + offset)^m, or (conj(z_k) + offset)^m when anti is set."""
-    raw = []
-    zero = (0,) * n
-    czero = (0j,) * n
-    for j in range(m + 1):
-        coef = math.comb(m, j) * offset ** (m - j)
-        if coef == 0:
-            continue
-        expo = tuple(j if idx == k else 0 for idx in range(n))
-        if anti:
-            raw.append(SymbolTerm(coef, zero, expo, czero, czero))
-        else:
-            raw.append(SymbolTerm(coef, expo, zero, czero, czero))
-    return Symbol(n, raw)
 
 
 def berezin(s: Symbol) -> Symbol:
     """Berezin transform of a symbol, returned as a symbol in the same class."""
-    n = s.n
-    out = Symbol(n)
+    raw = []
     for t in s.terms:
-        scale = t.coef * cmath.exp(sum(x * y for x, y in zip(t.c, t.d)))
-        factor = constant(n, scale)
-        for k in range(n):
-            ak, bk = t.a[k], t.b[k]
-            poly_k = Symbol(n)
+        factors = []
+        for ak, bk, ck, dk in zip(t.a, t.b, t.c, t.d):
+            fk = {}
             for j in range(min(ak, bk) + 1):
                 w = math.comb(ak, j) * math.comb(bk, j) * math.factorial(j)
-                poly_k = poly_k + (
-                    _shifted_power(n, k, t.d[k], ak - j, anti=False)
-                    * _shifted_power(n, k, t.c[k], bk - j, anti=True)
-                ).scale(w)
-            factor = factor * poly_k
-        out = out + factor * exponential(n, c=t.c, d=t.d)
-    return out
+                for i, x in _binomial(ak - j, dk):
+                    for l, y in _binomial(bk - j, ck):
+                        fk[i, l] = fk.get((i, l), 0) + w * x * y
+            factors.append(fk)
+        _expand(raw, t.coef * _exp_factor(t.c, t.d), factors, t.c, t.d)
+    return Symbol(s.n, raw)
 
 
 def operator_berezin(chain: OpChain, zeta) -> complex:

@@ -50,6 +50,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ]:
         p = sub.add_parser(name, help=helptext)
         p.add_argument("--n", type=int, default=DEFAULT_N, help="ambient dimension")
+        p.set_defaults(error=p.error)
         if name == "verify":
             p.set_defaults(run=_verify)
             p.add_argument(
@@ -173,7 +174,10 @@ def _verify(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    # a leftover flag is reported with its subcommand's usage, not the top level's
+    args, extra = _build_parser().parse_known_args(argv)
+    if extra:
+        args.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         return args.run(args)
     except (ValueError, OSError) as exc:

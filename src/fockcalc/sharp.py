@@ -16,31 +16,17 @@ conj(z).  All the operator components commute, so
   * (zbar - D)^i expands by the commuting-binomial identity
     sum_{l <= i} C(i,l) zbar^l (-D)^{i-l}.
 
-Inputs that are sums apply termwise; sums of pairs (f_l, g_l) are handled
+On each term of f this factors over the coordinates, so sharp expands it
+per term pair and coordinate (the shift and each D^{i-l} as binomial sums)
+and canonicalizes the result once.  Sums of pairs (f_l, g_l) are handled
 by caller-side linearity.
 """
 
 from __future__ import annotations
 
-from itertools import product
+import math
 
-from .indices import mi_binomial, mi_order
-from .symbols import Symbol, exponential, monomial
-
-
-def _partials_upto(base: Symbol, i) -> dict:
-    """All Wirtinger derivatives d^m base for m <= i componentwise."""
-    n = base.n
-    zero = (0,) * n
-    out = {zero: base}
-    for m in product(*(range(k + 1) for k in i)):
-        if m == zero:
-            continue
-        j = next(idx for idx, mj in enumerate(m) if mj > 0)
-        prev = list(m)
-        prev[j] -= 1
-        out[m] = out[tuple(prev)].dz(j + 1)
-    return out
+from .symbols import Symbol, _derivative_at, _exp_factor, _expand
 
 
 def sharp(f: Symbol, g: Symbol) -> Symbol:
@@ -49,20 +35,18 @@ def sharp(f: Symbol, g: Symbol) -> Symbol:
         raise ValueError(f"dimension mismatch: {f.n} vs {g.n}")
     if not (f.is_holomorphic and g.is_holomorphic):
         raise ValueError("sharp is defined for holomorphic symbols only")
-    n = f.n
-    out = Symbol(n)
+    raw = []
     for gt in g.terms:
         gamma = gt.coef.conjugate()
-        i = gt.a
         q = tuple(x.conjugate() for x in gt.c)
-        # exponential factor: exp(zbar.q) times the shift z |-> z - q
-        base = f.shift(q) * exponential(n, d=q)
-        partials = _partials_upto(base, i)
-        acc = Symbol(n)
-        for l in product(*(range(k + 1) for k in i)):
-            m = tuple(ik - lk for ik, lk in zip(i, l))
-            sign = -1 if mi_order(m) % 2 else 1
-            weight = sign * mi_binomial(i, l)
-            acc = acc + monomial(n, b=l, coef=weight) * partials[m]
-        out = out + acc.scale(gamma)
-    return out
+        mq = tuple(-x for x in q)
+        for ft in f.terms:
+            factors = []
+            for ik, ak, ck, sk in zip(gt.a, ft.a, ft.c, mq):
+                fk = {}
+                for l in range(ik + 1):
+                    weight = (-1) ** (ik - l) * math.comb(ik, l)
+                    _derivative_at(fk, ak, ck, ik - l, sk, weight, l)
+                factors.append(fk)
+            _expand(raw, gamma * ft.coef * _exp_factor(mq, ft.c), factors, ft.c, q)
+    return Symbol(f.n, raw)

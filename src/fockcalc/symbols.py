@@ -24,7 +24,9 @@ monomial (a, b), keys are clustered in that parameter order: each joins the
 first group whose representative is within tolerance, and a group's
 representative -- the (c, d) its merged term keeps -- is its first key in
 parameter order.  A coefficient that is not finite, or whose modulus
-overflows, raises ValueError.
+overflows, raises ValueError; so does a non-finite exponential parameter
+given to a constructor, or one that a product or a Toeplitz action would
+make by overflow.
 
 Only this closed class is representable: no power series, no essential
 singularities.  General symbols of at-most-Gaussian growth exist beyond it,
@@ -36,6 +38,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable
 
 from .indices import MultiIndex, as_multi_index
@@ -74,7 +77,37 @@ def _as_cvector(v, n: int) -> ComplexVector:
     t = tuple(complex(x) for x in v)
     if len(t) != n:
         raise ValueError(f"expected a length-{n} complex vector, got length {len(t)}")
+    if not all(map(cmath.isfinite, t)):
+        raise ValueError(f"expected finite complex entries, got {t}")
     return t
+
+
+def _check_param_sum(v: ComplexVector) -> None:
+    if not all(map(cmath.isfinite, v)):
+        raise ValueError("exponential parameter overflows the float range")
+
+
+def _params_may_overflow(s: Iterable[SymbolTerm], t: Iterable[SymbolTerm]) -> bool:
+    """Whether adding a parameter of s to one of t can leave the float range."""
+    # a parameter's modulus bounds both of its parts, and overflows only when they are huge
+    try:
+        bounds = [
+            max(map(abs, chain.from_iterable([u.c + u.d for u in ts])), default=0.0) for ts in (s, t)
+        ]
+    except OverflowError:
+        return True
+    return not math.isfinite(bounds[0] + bounds[1])
+
+
+def _exp_factor(u: ComplexVector, v: ComplexVector) -> complex:
+    """exp(u.v), the constant factor of a closed term rule."""
+    try:
+        out = cmath.exp(sum(x * y for x, y in zip(u, v)))
+    except OverflowError:
+        out = math.inf
+    if not cmath.isfinite(out):
+        raise ValueError("exponential factor overflows the float range")
+    return out
 
 
 def _vec_close(u: ComplexVector, v: ComplexVector) -> bool:
@@ -236,6 +269,7 @@ class Symbol:
         if not isinstance(other, Symbol):
             return NotImplemented
         self._check_dim(other)
+        check = _params_may_overflow(self.terms, other.terms)
         raw = []
         for s in self.terms:
             for t in other.terms:
@@ -248,6 +282,9 @@ class Symbol:
                         tuple(x + y for x, y in zip(s.d, t.d)),
                     )
                 )
+        if check:
+            for t in raw:
+                _check_param_sum(t.c + t.d)
         return Symbol(self.n, raw)
 
     def __rmul__(self, other):
@@ -315,7 +352,7 @@ class Symbol:
         czero = (0j,) * self.n
         raw = []
         for t in self.terms:
-            base = t.coef * cmath.exp(-sum(e * x for e, x in zip(eta, t.c)))
+            base = t.coef * _exp_factor(tuple(-e for e in eta), t.c)
             # expand prod_k (z_k - eta_k)^{a_k}
             expansion = [(base, zero)]
             for k, ak in enumerate(t.a):
@@ -445,6 +482,36 @@ def kernel(w) -> Symbol:
     """Reproducing kernel K_w: z |-> exp(z . conj(w))."""
     w = tuple(complex(x) for x in w)
     return exponential(len(w), c=tuple(x.conjugate() for x in w))
+
+
+# -- closed term rules of berezin, sharp and toeplitz_apply ---------------------------
+
+
+def _binomial(q: int, s: complex) -> list[tuple[int, complex]]:
+    """(w + s)^q as [(i, coefficient of w^i)]."""
+    return [(q, 1)] if s == 0 else [(i, math.comb(q, i) * s ** (q - i)) for i in range(q + 1)]
+
+
+def _derivative_at(out: dict, m: int, e: complex, p: int, s: complex, weight=1, b=0) -> dict:
+    """Add weight * D^p[w^m exp(w e)] at w + s, over exp((w + s) e), to out,
+    which maps (i, b) to the coefficient of w^i conj(w)^b."""
+    for j in range(min(p, m) + 1):
+        x = weight * math.comb(p, j) * math.perm(m, j) * e ** (p - j)
+        if x:
+            for i, y in _binomial(m - j, s):
+                out[i, b] = out.get((i, b), 0) + x * y
+    return out
+
+
+def _expand(raw: list, coef: complex, factors: list[dict], c, d) -> None:
+    """Append coef * prod_k factors[k] * exp(z.c + conj(z).d) to raw.
+
+    factors[k] maps (a_k, b_k) to the coefficient of z_k^a_k conj(z_k)^b_k.
+    """
+    acc = [(coef, (), ())]
+    for f in factors:
+        acc = [(w * x, a + (i,), b + (j,)) for w, a, b in acc for (i, j), x in f.items()]
+    raw.extend([SymbolTerm(w, a, b, c, d) for w, a, b in acc])
 
 
 def relative_residual(s: Symbol, ref: Symbol) -> float:

@@ -11,9 +11,10 @@ acting on a holomorphic u,
     T u (z) = coef * (D^b v)(z + d),   v(w) = w^a exp(w.c) u(w),
 
 i.e. multiply by the holomorphic part, differentiate b times, then shift
-the argument by the anti-holomorphic exponential parameter.  The class is
-invariant, so operator equalities are checked exactly on monomial bases:
-no finite-section truncation is ever involved.
+the argument by the anti-holomorphic exponential parameter.  toeplitz_apply
+expands this per pair of terms and per coordinate, and canonicalizes once.
+The class is invariant, so operator equalities are checked exactly on
+monomial bases: no finite-section truncation is ever involved.
 
 Unboundedness of these operators is an analytic matter deliberately
 ignored here: computations are the densely-defined actions on the
@@ -27,7 +28,8 @@ from typing import Iterator, Sequence
 
 from .indices import MultiIndex, mi_enumerate, mi_factorial
 from .sharp import sharp
-from .symbols import Symbol, exponential, monomial, relative_residual
+from .symbols import Symbol, _check_param_sum, _derivative_at, _exp_factor, _expand
+from .symbols import _params_may_overflow, monomial, relative_residual
 
 
 def toeplitz_apply(phi: Symbol, u: Symbol) -> Symbol:
@@ -36,16 +38,20 @@ def toeplitz_apply(phi: Symbol, u: Symbol) -> Symbol:
         raise ValueError(f"dimension mismatch: {phi.n} vs {u.n}")
     if not u.is_holomorphic:
         raise ValueError("toeplitz_apply acts on holomorphic symbols only")
-    n = phi.n
-    out = Symbol(n)
+    check = _params_may_overflow(phi.terms, u.terms)
+    czero = (0j,) * phi.n
+    raw = []
     for t in phi.terms:
-        v = monomial(n, t.a) * exponential(n, c=t.c) * u
-        for k, bk in enumerate(t.b):
-            for _ in range(bk):
-                v = v.dz(k + 1)
-        if any(x != 0 for x in t.d):
-            v = v.shift(tuple(-x for x in t.d))  # substitute z + d
-        out = out + v.scale(t.coef)
+        for s in u.terms:
+            e = tuple(x + y for x, y in zip(t.c, s.c))
+            if check:
+                _check_param_sum(e)
+            factors = [
+                _derivative_at({}, ak + sk, ek, bk, dk)
+                for ak, sk, ek, bk, dk in zip(t.a, s.a, e, t.b, t.d)
+            ]
+            _expand(raw, t.coef * s.coef * _exp_factor(t.d, e), factors, e, czero)
+    out = Symbol(phi.n, raw)
     if not out.is_holomorphic:
         raise ValueError("toeplitz_apply produced a non-holomorphic result")
     return out

@@ -82,6 +82,17 @@ def test_arithmetic_overflow_rejected():
             parse_symbol(text, 1)
 
 
+def test_parameter_overflow_rejected():
+    # every parameter is finite; a product's sum of parameters is not
+    for text in ("exp(1e308*z1)^2", "exp(1e308*z1)^2*exp(-1e308*z1)^2", "exp(1e308*conj(z1))^2"):
+        with pytest.raises(ValueError, match="exponential parameter overflows"):
+            parse_symbol(text, 1)
+    with pytest.raises(ValueError, match="finite"):
+        exponential(1, c=[float("nan")])
+    with pytest.raises(ValueError, match="finite"):
+        kernel([complex(0, float("inf"))])
+
+
 def test_trailing_input_rejected():
     with pytest.raises(SymbolSyntaxError):
         parse_symbol("z1 z1", 1)

@@ -133,6 +133,14 @@ def test_cli_exit_codes(capsys, tmp_path):
         assert main(["parse", "-s", text, "--n", "1"]) == 2
         err = capsys.readouterr().err
         assert "coefficient" in err and "Traceback" not in err
+    for argv, message in (  # a finite input whose result leaves the float range
+        (["berezin", "-s", "exp(30*z1 + 30*conj(z1))"], "exponential factor"),
+        (["toeplitz-apply", "-s", "exp(30*conj(z1))", "-s", "exp(30*z1)"], "exponential factor"),
+        (["parse", "-s", "exp(1e308*z1)^2"], "exponential parameter"),
+    ):
+        assert main(argv + ["--n", "1"]) == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
 
     missing = tmp_path / "missing" / "x.txt"
     assert main(["parse", "-s", "z1", "--n", "1", "--out", str(missing)]) == 2
@@ -183,7 +191,9 @@ def test_cli_rejects_a_flag_the_subcommand_does_not_read(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv + ["--n", "1"])
     assert exc.value.code == 2
-    assert "unrecognized arguments" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "unrecognized arguments" in err
+    assert err.startswith(f"usage: fockcalc {argv[0]} ")
 
 
 def test_cli_readme_examples_run(capsys):

@@ -3,13 +3,13 @@ import random
 
 import pytest
 
+from fockcalc import toeplitz as toeplitz_module
 from fockcalc.berezin import berezin, operator_berezin
 from fockcalc.gaussian import fock_inner, symbol_integral
 from fockcalc.indices import mi_enumerate, mi_factorial
 from fockcalc.sharp import sharp
 from fockcalc.suites import random_holo, random_polynomial, unit_disc
 from fockcalc.symbols import (
-    Symbol,
     constant,
     coordinate,
     exponential,
@@ -121,11 +121,18 @@ def test_guards():
         OpChain([])
     with pytest.raises(ValueError):
         OpChain([Z, coordinate(2, 1)])
+    big = exponential(1, c=[1e308])
+    with pytest.raises(ValueError, match="exponential parameter overflows"):
+        toeplitz_apply(big, big)
+    with pytest.raises(ValueError, match="exponential factor overflows"):
+        toeplitz_apply(exponential(1, d=[30]), exponential(1, c=[30]))
 
 
 def test_non_holomorphic_result_raises(monkeypatch):
     # a broken step must fail with an error that survives `python -O`
-    monkeypatch.setattr(Symbol, "shift", lambda self, eta: Z.conj())
+    monkeypatch.setattr(
+        toeplitz_module, "_expand", lambda raw, coef, factors, c, d: raw.extend(Z.conj().terms)
+    )
     phi = exponential(1, d=(0.5,))
     with pytest.raises(ValueError, match="non-holomorphic"):
         toeplitz_apply(phi, Z)
