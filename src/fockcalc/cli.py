@@ -32,12 +32,23 @@ from .symbols import Symbol
 from .toeplitz import OpChain
 
 
+class _SubcommandParser(argparse.ArgumentParser):
+    """Reports a flag it does not take with its own usage line; argparse would
+    pool it with the top level's leftovers, which get the top-level usage."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extra = super().parse_known_args(args, namespace)
+        if extra:
+            self.error(f"unrecognized arguments: {' '.join(extra)}")
+        return namespace, extra
+
+
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="fockcalc",
         description="Toeplitz-operator calculus on the Fock space over C^n",
     )
-    sub = ap.add_subparsers(dest="command", required=True)
+    sub = ap.add_subparsers(dest="command", required=True, parser_class=_SubcommandParser)
 
     for name, helptext in [
         ("berezin", "Berezin transform of a symbol"),
@@ -50,7 +61,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ]:
         p = sub.add_parser(name, help=helptext)
         p.add_argument("--n", type=int, default=DEFAULT_N, help="ambient dimension")
-        p.set_defaults(error=p.error)
         if name == "verify":
             p.set_defaults(run=_verify)
             p.add_argument(
@@ -174,10 +184,7 @@ def _verify(args) -> int:
 
 
 def main(argv=None) -> int:
-    # a leftover flag is reported with its subcommand's usage, not the top level's
-    args, extra = _build_parser().parse_known_args(argv)
-    if extra:
-        args.error(f"unrecognized arguments: {' '.join(extra)}")
+    args = _build_parser().parse_args(argv)
     try:
         return args.run(args)
     except (ValueError, OSError) as exc:

@@ -2,8 +2,14 @@
 
 The grammar, with the rules on exp arguments, kernels and complex
 literals, is `docs/grammar.ebnf`; the parser methods follow its
-productions.  Every diagnostic is a SymbolSyntaxError carrying the
-character position; parsing never raises anything else on bad input.
+productions.  Each node evaluates to a term map {(a, b, c, d): coef}:
+sums and negations accumulate in place, and products use the one product
+rule of `symbols`.  The result is canonicalized once, plus once for the
+argument of each exp and each component of K, so the relative floor
+applies to the whole result and a sum of many terms parses in linear time.
+Every diagnostic on bad notation is a SymbolSyntaxError carrying the
+character position; arithmetic that leaves the float range raises a plain
+ValueError.
 """
 
 from __future__ import annotations
@@ -11,9 +17,9 @@ from __future__ import annotations
 import cmath
 import math
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .symbols import Symbol, constant, coordinate, exponential, kernel
+from .symbols import Symbol, _conj, _moduli, _product, _terms
 
 
 class SymbolSyntaxError(ValueError):
@@ -37,9 +43,11 @@ _TOKEN_RE = re.compile(
 
 _KEYWORDS = {"conj", "exp", "K"}
 
+#: negation multiplies by this, as Symbol.scale(-1) does
+_MINUS_ONE = complex(-1)
 
-@dataclass(frozen=True)
-class _Token:
+
+class _Token(NamedTuple):
     kind: str  # number | coord | name | op | end
     text: str
     pos: int
@@ -64,6 +72,8 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.i = 0
         self.n = n
+        self.zero = (0,) * n
+        self.czero = (0j,) * n
 
     def peek(self) -> _Token:
         return self.tokens[self.i]
@@ -80,34 +90,37 @@ class _Parser:
         return self.advance()
 
     # expr := ["-"] term {("+"|"-") term}
-    def expr(self) -> Symbol:
+    def expr(self) -> dict:
         negate = False
         if self.peek().kind == "op" and self.peek().text == "-":
             self.advance()
             negate = True
         out = self.term()
         if negate:
-            out = -out
+            out = {key: x * _MINUS_ONE for key, x in out.items()}
         while self.peek().kind == "op" and self.peek().text in "+-":
             op = self.advance().text
-            rhs = self.term()
-            out = out + rhs if op == "+" else out - rhs
+            for key, x in self.term().items():
+                out[key] = out.get(key, 0j) + (x if op == "+" else x * _MINUS_ONE)
         return out
 
     # term := factor {"*" factor}
-    def term(self) -> Symbol:
+    def term(self) -> dict:
         out = self.factor()
         while self.peek().kind == "op" and self.peek().text == "*":
             self.advance()
-            out = out * self.factor()
+            out = self._mul(out, self.factor())
         return out
 
     # factor := base ["^" nat]
-    def factor(self) -> Symbol:
+    def factor(self) -> dict:
         out = self.base()
         if self.peek().kind == "op" and self.peek().text == "^":
             self.advance()
-            out = out ** self.nat()
+            # x^0 is 1 for every x, so x is checked before it can be dropped
+            base, out = self._checked(out), self._constant(1)
+            for _ in range(self.nat()):
+                out = self._mul(out, base)
         return out
 
     def nat(self) -> int:
@@ -117,14 +130,14 @@ class _Parser:
         self.advance()
         return int(tok.text)
 
-    def base(self) -> Symbol:
+    def base(self) -> dict:
         tok = self.peek()
         if tok.kind == "number":
             self.advance()
             value = float(tok.text.rstrip("i"))
             if not math.isfinite(value):
                 raise SymbolSyntaxError(f"number {tok.text!r} is out of float range", tok.pos)
-            return constant(self.n, 1j * value if tok.text.endswith("i") else value)
+            return self._constant(1j * value if tok.text.endswith("i") else value)
         if tok.kind == "coord":
             self.advance()
             k = int(tok.text[1:])
@@ -132,20 +145,21 @@ class _Parser:
                 raise SymbolSyntaxError(
                     f"coordinate z{k} out of range 1..{self.n}", tok.pos
                 )
-            return coordinate(self.n, k)
+            a = tuple(1 if j == k - 1 else 0 for j in range(self.n))
+            return {(a, self.zero, self.czero, self.czero): 1 + 0j}
         if tok.kind == "name":
             if tok.text == "conj":
                 self.advance()
                 self.expect_op("(")
                 inner = self.expr()
                 self.expect_op(")")
-                return inner.conj()
+                return _conj(inner)
             if tok.text == "exp":
                 self.advance()
                 self.expect_op("(")
                 inner = self.expr()
                 self.expect_op(")")
-                return self._lower_exp(inner, tok.pos)
+                return self._lower_exp(Symbol(self.n, _terms(inner)), tok.pos)
             if tok.text == "K":
                 self.advance()
                 self.expect_op("(")
@@ -158,7 +172,8 @@ class _Parser:
                     raise SymbolSyntaxError(
                         f"K takes {self.n} components here, found {len(args)}", tok.pos
                     )
-                return kernel(args)
+                # the reproducing kernel exp(z . conj(w))
+                return self._exponential(tuple(w.conjugate() for w in args), self.czero, 1 + 0j)
             raise SymbolSyntaxError(f"unknown identifier {tok.text!r}", tok.pos)
         if tok.kind == "op" and tok.text == "(":
             self.advance()
@@ -169,14 +184,29 @@ class _Parser:
             f"expected a value, found {tok.text or 'end of input'!r}", tok.pos
         )
 
+    def _constant(self, value: complex) -> dict:
+        return {(self.zero, self.zero, self.czero, self.czero): complex(value)}
+
+    def _exponential(self, c: tuple, d: tuple, coef: complex) -> dict:
+        return {(self.zero, self.zero, c, d): coef}
+
+    @staticmethod
+    def _checked(m: dict) -> dict:
+        """m; ValueError if a coefficient of m is not finite or its modulus overflows."""
+        _moduli(list(m.values()), list(m))
+        return m
+
+    def _mul(self, s: dict, t: dict) -> dict:
+        return self._checked(_product(s, t))
+
     def _const_arg(self) -> complex:
         tok = self.peek()
-        value = self.expr()
+        value = Symbol(self.n, _terms(self.expr()))
         if not value.is_constant:
             raise SymbolSyntaxError("kernel components must be constants", tok.pos)
         return value.constant_value()
 
-    def _lower_exp(self, arg: Symbol, pos: int) -> Symbol:
+    def _lower_exp(self, arg: Symbol, pos: int) -> dict:
         """exp of an affine argument; the constant part folds into the coefficient."""
         const = 0j
         c = [0j] * self.n
@@ -199,7 +229,7 @@ class _Parser:
             coef = cmath.exp(const)
         except OverflowError:
             raise SymbolSyntaxError("exp of the constant part overflows", pos) from None
-        return exponential(self.n, c, d, coef)
+        return self._exponential(tuple(c), tuple(d), coef)
 
 
 def parse_symbol(text: str, n: int) -> Symbol:
@@ -213,7 +243,7 @@ def parse_symbol(text: str, n: int) -> Symbol:
     tok = p.peek()
     if tok.kind != "end":
         raise SymbolSyntaxError(f"unexpected trailing input {tok.text!r}", tok.pos)
-    return out
+    return Symbol(n, _terms(out))
 
 
 # -- formatting -------------------------------------------------------------
@@ -272,6 +302,7 @@ def format_symbol(s: Symbol) -> str:
     """Deterministic canonical rendering; parses back to the same symbol."""
     if s.is_zero:
         return "0"
+    exps: dict = {}  # (c, d) -> its rendered exp(...) factor, "" when both vanish
     parts = []
     for t in s.terms:
         factors = []
@@ -285,8 +316,15 @@ def format_symbol(s: Symbol) -> str:
                 factors.append(f"conj(z{k + 1})")
             elif e > 1:
                 factors.append(f"conj(z{k + 1})^{e}")
-        if any(x != 0 for x in t.c) or any(x != 0 for x in t.d):
-            factors.append(f"exp({_fmt_linear(t.c, t.d)})")
+        e = exps.get((t.c, t.d))
+        if e is None:
+            e = exps[t.c, t.d] = (
+                f"exp({_fmt_linear(t.c, t.d)})"
+                if any(x != 0 for x in t.c) or any(x != 0 for x in t.d)
+                else ""
+            )
+        if e:
+            factors.append(e)
         parts.append(_fmt_product(t.coef, "*".join(factors)))
     return _join_sum(parts)
 

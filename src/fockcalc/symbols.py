@@ -28,6 +28,11 @@ overflows, raises ValueError; so does a non-finite exponential parameter
 given to a constructor, or one that a product or a Toeplitz action would
 make by overflow.
 
+Operations that build a result from many raw terms work on term maps
+{(a, b, c, d): coef}, which merge equal keys as they go, and canonicalize
+once at the end.  `_product` is the one product rule: Symbol.__mul__ and the
+text parser in `dsl` both use it.
+
 Only this closed class is representable: no power series, no essential
 singularities.  General symbols of at-most-Gaussian growth exist beyond it,
 but every formula the package verifies restricts exactly to this class.
@@ -39,6 +44,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from itertools import chain
+from operator import add
 from typing import Iterable
 
 from .indices import MultiIndex, as_multi_index
@@ -87,13 +93,11 @@ def _check_param_sum(v: ComplexVector) -> None:
         raise ValueError("exponential parameter overflows the float range")
 
 
-def _params_may_overflow(s: Iterable[SymbolTerm], t: Iterable[SymbolTerm]) -> bool:
-    """Whether adding a parameter of s to one of t can leave the float range."""
+def _params_may_overflow(s: Iterable[ComplexVector], t: Iterable[ComplexVector]) -> bool:
+    """Whether adding a parameter vector of s to one of t can leave the float range."""
     # a parameter's modulus bounds both of its parts, and overflows only when they are huge
     try:
-        bounds = [
-            max(map(abs, chain.from_iterable([u.c + u.d for u in ts])), default=0.0) for ts in (s, t)
-        ]
+        bounds = [max(map(abs, chain.from_iterable(vs)), default=0.0) for vs in (s, t)]
     except OverflowError:
         return True
     return not math.isfinite(bounds[0] + bounds[1])
@@ -127,6 +131,23 @@ def _ab_sort_key(ab):
 
 def _param_sort_key(key):
     return (_vec_sort_key(key[2]), _vec_sort_key(key[3]))
+
+
+def _moduli(coefs: list[complex], keys: list) -> list[float]:
+    """|x| for each coefficient x; keys[i] starts with the (a, b) of coefs[i].
+
+    A coefficient that is not finite, or whose modulus overflows, raises
+    ValueError.  Finite moduli can still sum to inf, so only a failed sum
+    pays for the per-term test.
+    """
+    try:
+        mags = [abs(x) for x in coefs]
+    except OverflowError:  # finite parts, modulus beyond the float range
+        raise ValueError("coefficient modulus overflows the float range") from None
+    if not math.isfinite(sum(mags)) and not all(map(math.isfinite, mags)):
+        i = next(i for i, m in enumerate(mags) if not math.isfinite(m))
+        raise ValueError(f"non-finite coefficient {coefs[i]} at z^{keys[i][0]} conj(z)^{keys[i][1]}")
+    return mags
 
 
 def _canonicalize(n: int, raw: Iterable[SymbolTerm]) -> tuple[SymbolTerm, ...]:
@@ -165,17 +186,10 @@ def _canonicalize(n: int, raw: Iterable[SymbolTerm]) -> tuple[SymbolTerm, ...]:
                 groups.append(g)
 
     # Phase 3: reject non-finite coefficients, drop those below the relative
-    # floor.  Finite moduli can still sum to inf, so only a failed sum pays
-    # for the per-term test.
+    # floor.
     if not groups:
         return ()
-    try:
-        mags = [abs(g[4]) for g in groups]
-    except OverflowError:  # finite parts, modulus beyond the float range
-        raise ValueError("coefficient modulus overflows the float range") from None
-    if not math.isfinite(sum(mags)) and not all(map(math.isfinite, mags)):
-        bad = next(g for g, m in zip(groups, mags) if not math.isfinite(m))
-        raise ValueError(f"non-finite coefficient {bad[4]} at z^{bad[0]} conj(z)^{bad[1]}")
+    mags = _moduli([g[4] for g in groups], groups)
     floor = COEF_FLOOR * max(1.0, max(mags))
     return tuple(
         [SymbolTerm(g[4], g[0], g[1], g[2], g[3]) for g, m in zip(groups, mags) if m >= floor]
@@ -269,23 +283,7 @@ class Symbol:
         if not isinstance(other, Symbol):
             return NotImplemented
         self._check_dim(other)
-        check = _params_may_overflow(self.terms, other.terms)
-        raw = []
-        for s in self.terms:
-            for t in other.terms:
-                raw.append(
-                    SymbolTerm(
-                        s.coef * t.coef,
-                        tuple(x + y for x, y in zip(s.a, t.a)),
-                        tuple(x + y for x, y in zip(s.b, t.b)),
-                        tuple(x + y for x, y in zip(s.c, t.c)),
-                        tuple(x + y for x, y in zip(s.d, t.d)),
-                    )
-                )
-        if check:
-            for t in raw:
-                _check_param_sum(t.c + t.d)
-        return Symbol(self.n, raw)
+        return Symbol(self.n, _terms(_product(_term_map(self.terms), _term_map(other.terms))))
 
     def __rmul__(self, other):
         if isinstance(other, (int, float, complex)):
@@ -304,19 +302,7 @@ class Symbol:
 
     def conj(self) -> "Symbol":
         """Pointwise complex conjugate: (coef,a,b,c,d) -> (coef*,b,a,d*,c*)."""
-        return Symbol(
-            self.n,
-            (
-                SymbolTerm(
-                    t.coef.conjugate(),
-                    t.b,
-                    t.a,
-                    tuple(x.conjugate() for x in t.d),
-                    tuple(x.conjugate() for x in t.c),
-                )
-                for t in self.terms
-            ),
-        )
+        return Symbol(self.n, _terms(_conj(_term_map(self.terms))))
 
     def reflect(self) -> "Symbol":
         """conj(f(conj(z))): conjugates coefficients and exponential parameters.
@@ -434,6 +420,48 @@ class Symbol:
         from . import dsl  # local import: dsl depends on this module
 
         return dsl.format_symbol(self)
+
+
+# -- term maps {(a, b, c, d): coef} ------------------------------------------------
+
+
+def _term_map(terms: Iterable[SymbolTerm]) -> dict:
+    return {(t.a, t.b, t.c, t.d): t.coef for t in terms}
+
+
+def _terms(m: dict) -> list[SymbolTerm]:
+    return [SymbolTerm(x, *key) for key, x in m.items()]
+
+
+def _product(s: dict, t: dict) -> dict:
+    """Term map of the product of the term maps s and t.
+
+    The coefficients of one key add up in the order of the term pairs,
+    starting from 0j, as _canonicalize's merge does.  A parameter sum that
+    overflows raises ValueError; coefficients are not checked here.
+    """
+    out: dict = {}
+    for (a, b, c, d), x in s.items():
+        for (a2, b2, c2, d2), y in t.items():
+            key = (
+                tuple(map(add, a, a2)),
+                tuple(map(add, b, b2)),
+                tuple(map(add, c, c2)),
+                tuple(map(add, d, d2)),
+            )
+            out[key] = out.get(key, 0j) + x * y
+    if _params_may_overflow([k[2] + k[3] for k in s], [k[2] + k[3] for k in t]):
+        for key in out:
+            _check_param_sum(key[2] + key[3])
+    return out
+
+
+def _conj(m: dict) -> dict:
+    """Term map of the pointwise conjugate: (coef,a,b,c,d) -> (coef*,b,a,d*,c*)."""
+    return {
+        (b, a, tuple(x.conjugate() for x in d), tuple(x.conjugate() for x in c)): coef.conjugate()
+        for (a, b, c, d), coef in m.items()
+    }
 
 
 # -- constructors ----------------------------------------------------------------

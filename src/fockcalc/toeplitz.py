@@ -38,7 +38,7 @@ def toeplitz_apply(phi: Symbol, u: Symbol) -> Symbol:
         raise ValueError(f"dimension mismatch: {phi.n} vs {u.n}")
     if not u.is_holomorphic:
         raise ValueError("toeplitz_apply acts on holomorphic symbols only")
-    check = _params_may_overflow(phi.terms, u.terms)
+    check = _params_may_overflow([t.c for t in phi.terms], [s.c for s in u.terms])
     czero = (0j,) * phi.n
     raw = []
     for t in phi.terms:

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from fockcalc import symbols
 from fockcalc.dsl import SymbolSyntaxError, format_symbol, parse_complex, parse_symbol
 from fockcalc.symbols import (
     Symbol,
@@ -76,8 +77,16 @@ def test_structured_diagnostics_carry_positions():
 
 
 def test_arithmetic_overflow_rejected():
-    # every literal is finite; the product is not
-    for text in ("1e308*10", "1e200*z1 * 1e200*conj(z1)"):
+    # every literal is finite; the product or sum is not.  A product raises
+    # before the rest of the text is read, and x^0 does not drop an overflowed x.
+    for text in (
+        "1e308*10",
+        "1e308*10*0",
+        "1e200*z1 * 1e200*conj(z1)",
+        "1e308*10 + exp(z1^2)",
+        "(1e308*10)^0",
+        "(1e308 + 1e308)^0",
+    ):
         with pytest.raises(ValueError, match="non-finite coefficient"):
             parse_symbol(text, 1)
 
@@ -93,6 +102,32 @@ def test_parameter_overflow_rejected():
         kernel([complex(0, float("inf"))])
 
 
+def test_parse_does_not_depend_on_term_order():
+    # the relative floor applies once, to the whole result, not to each partial sum
+    for text in ("1e20*z1 + 1e5*z2 - 1e20*z1", "1e20*z1 - 1e20*z1 + 1e5*z2"):
+        assert format_symbol(parse_symbol(text, 2)) == "100000*z2"
+
+
+def count_canonicalizations(monkeypatch, text, n):
+    calls = []
+    canonicalize = symbols._canonicalize
+
+    def counting(*args):
+        calls.append(None)
+        return canonicalize(*args)
+
+    monkeypatch.setattr(symbols, "_canonicalize", counting)
+    parse_symbol(text, n)
+    return len(calls)
+
+
+def test_parse_canonicalizes_once_plus_once_per_exp(monkeypatch):
+    poly = " + ".join(f"{k}*z1^{k % 7}*conj(z2)^{k % 5}" for k in range(1, 501))
+    assert count_canonicalizations(monkeypatch, poly, 2) == 1
+    exps = " - ".join(f"{k}*z2*exp({k}*z1 - 0.5*conj(z2))" for k in range(1, 41))
+    assert count_canonicalizations(monkeypatch, exps, 2) <= 1 + 40
+
+
 def test_trailing_input_rejected():
     with pytest.raises(SymbolSyntaxError):
         parse_symbol("z1 z1", 1)
@@ -104,6 +139,12 @@ def test_format_zero():
 
 def test_format_merges_canonically():
     assert format_symbol(parse_symbol("z1 + z1", 1)) == "2*z1"
+
+
+def test_format_renders_each_term_its_own_exponential():
+    # terms share c, d or both with other terms
+    text = "3 + 2*exp(z1) + exp(z1 + conj(z1)) - z1*exp(z1) + z1*exp(z1 + conj(z1))"
+    assert format_symbol(parse_symbol(text, 1)) == text
 
 
 def test_format_signs_and_complex_coefficients():
