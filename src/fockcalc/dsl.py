@@ -4,12 +4,13 @@ The grammar, with the rules on exp arguments, kernels and complex
 literals, is `docs/grammar.ebnf`; the parser methods follow its
 productions.  Each node evaluates to a term map {(a, b, c, d): coef}:
 sums and negations accumulate in place, and products use the one product
-rule of `symbols`.  The result is canonicalized once, plus once for the
-argument of each exp and each component of K, so the relative floor
-applies to the whole result and a sum of many terms parses in linear time.
-Every diagnostic on bad notation is a SymbolSyntaxError carrying the
-character position; arithmetic that leaves the float range raises a plain
-ValueError.
+rule of `symbols`; both drop the cancellation noise of the keys they
+merge.  The result is canonicalized once, plus once for the argument of
+each exp and each component of K, so a sum of many terms parses in linear
+time.  Every diagnostic on bad notation, including an exp or K parameter
+part outside the range of `symbols`, is a SymbolSyntaxError carrying the
+character position; arithmetic that leaves the float range, or a product
+whose parameters leave that range, raises a plain ValueError.
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ import math
 import re
 from typing import NamedTuple
 
-from .symbols import Symbol, _conj, _moduli, _product, _terms
+from .symbols import PARAM_STEP, Symbol, _checked, _conj, _drop_noise, _merge, _product, _snap
+from .symbols import _terms
 
 
 class SymbolSyntaxError(ValueError):
@@ -40,8 +42,6 @@ _TOKEN_RE = re.compile(
     """,
     re.VERBOSE,
 )
-
-_KEYWORDS = {"conj", "exp", "K"}
 
 #: negation multiplies by this, as Symbol.scale(-1) does
 _MINUS_ONE = complex(-1)
@@ -98,11 +98,12 @@ class _Parser:
         out = self.term()
         if negate:
             out = {key: x * _MINUS_ONE for key, x in out.items()}
+        mass: dict = {}
         while self.peek().kind == "op" and self.peek().text in "+-":
             op = self.advance().text
-            for key, x in self.term().items():
-                out[key] = out.get(key, 0j) + (x if op == "+" else x * _MINUS_ONE)
-        return out
+            rhs = self.term().items()
+            _merge(out, mass, rhs if op == "+" else [(k, x * _MINUS_ONE) for k, x in rhs])
+        return _drop_noise(out, mass)
 
     # term := factor {"*" factor}
     def term(self) -> dict:
@@ -118,7 +119,7 @@ class _Parser:
         if self.peek().kind == "op" and self.peek().text == "^":
             self.advance()
             # x^0 is 1 for every x, so x is checked before it can be dropped
-            base, out = self._checked(out), self._constant(1)
+            base, out = _checked(out), self._constant(1)
             for _ in range(self.nat()):
                 out = self._mul(out, base)
         return out
@@ -173,7 +174,7 @@ class _Parser:
                         f"K takes {self.n} components here, found {len(args)}", tok.pos
                     )
                 # the reproducing kernel exp(z . conj(w))
-                return self._exponential(tuple(w.conjugate() for w in args), self.czero, 1 + 0j)
+                return self._exponential([w.conjugate() for w in args], self.czero, 1 + 0j, tok.pos)
             raise SymbolSyntaxError(f"unknown identifier {tok.text!r}", tok.pos)
         if tok.kind == "op" and tok.text == "(":
             self.advance()
@@ -187,17 +188,15 @@ class _Parser:
     def _constant(self, value: complex) -> dict:
         return {(self.zero, self.zero, self.czero, self.czero): complex(value)}
 
-    def _exponential(self, c: tuple, d: tuple, coef: complex) -> dict:
-        return {(self.zero, self.zero, c, d): coef}
-
-    @staticmethod
-    def _checked(m: dict) -> dict:
-        """m; ValueError if a coefficient of m is not finite or its modulus overflows."""
-        _moduli(list(m.values()), list(m))
-        return m
+    def _exponential(self, c, d, coef: complex, pos: int) -> dict:
+        """coef * exp(z.c + conj(z).d); SymbolSyntaxError at pos for a parameter out of range."""
+        try:
+            return {(self.zero, self.zero, _snap(c), _snap(d)): coef}
+        except ValueError as exc:
+            raise SymbolSyntaxError(str(exc), pos) from None
 
     def _mul(self, s: dict, t: dict) -> dict:
-        return self._checked(_product(s, t))
+        return _checked(_product(s, t))
 
     def _const_arg(self) -> complex:
         tok = self.peek()
@@ -229,7 +228,7 @@ class _Parser:
             coef = cmath.exp(const)
         except OverflowError:
             raise SymbolSyntaxError("exp of the constant part overflows", pos) from None
-        return self._exponential(tuple(c), tuple(d), coef)
+        return self._exponential(c, d, coef, pos)
 
 
 def parse_symbol(text: str, n: int) -> Symbol:
@@ -258,13 +257,25 @@ def _fmt_float(v: float) -> str:
     return f"{v:.{_FMT_DIGITS}g}"
 
 
-def _fmt_coef(v: complex) -> str:
+def _fmt_param_part(v: float) -> str:
+    """The shortest %.{p}g text of the grid value v that rounds back to v.
+
+    More digits are never farther from v, so p is found by bisection; 17 digits give v.
+    """
+    k, lo, hi = round(v / PARAM_STEP), 1, 17
+    while lo < hi:
+        p = (lo + hi) // 2
+        lo, hi = (lo, p) if round(float("%.*g" % (p, v)) / PARAM_STEP) == k else (p + 1, hi)
+    return "%.*g" % (lo, v)
+
+
+def _fmt_coef(v: complex, fmt=_fmt_float) -> str:
     if v.imag == 0:
-        return _fmt_float(v.real)
+        return fmt(v.real)
     if v.real == 0:
-        return _fmt_float(v.imag) + "i"
+        return fmt(v.imag) + "i"
     sign = "+" if v.imag >= 0 else "-"
-    return f"({_fmt_float(v.real)}{sign}{_fmt_float(abs(v.imag))}i)"
+    return f"({fmt(v.real)}{sign}{fmt(abs(v.imag))}i)"
 
 
 def _join_sum(parts: list[str]) -> str:
@@ -281,21 +292,21 @@ def _fmt_linear(c, d) -> str:
     parts = []
     for k, v in enumerate(c):
         if v != 0:
-            parts.append(_fmt_product(v, f"z{k + 1}"))
+            parts.append(_fmt_product(v, f"z{k + 1}", _fmt_param_part))
     for k, v in enumerate(d):
         if v != 0:
-            parts.append(_fmt_product(v, f"conj(z{k + 1})"))
+            parts.append(_fmt_product(v, f"conj(z{k + 1})", _fmt_param_part))
     return _join_sum(parts)
 
 
-def _fmt_product(coef: complex, factors_text: str) -> str:
+def _fmt_product(coef: complex, factors_text: str, fmt=_fmt_float) -> str:
     if not factors_text:
-        return _fmt_coef(coef)
+        return _fmt_coef(coef, fmt)
     if coef == 1:
         return factors_text
     if coef == -1:
         return "-" + factors_text
-    return _fmt_coef(coef) + "*" + factors_text
+    return _fmt_coef(coef, fmt) + "*" + factors_text
 
 
 def format_symbol(s: Symbol) -> str:

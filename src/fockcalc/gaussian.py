@@ -20,11 +20,14 @@ import cmath
 import math
 
 from .indices import MAX_EXPONENT, as_multi_index
-from .symbols import Symbol, _as_cvector
+from .symbols import Symbol, _as_cvector, _snap
 
 
 def gaussian_moment(a, b, lam=None, mu=None) -> complex:
-    """Moment of z^a conj(z)^b exp(z.lam + conj(z).mu) against the Gaussian."""
+    """Moment of z^a conj(z)^b exp(z.lam + conj(z).mu) against the Gaussian.
+
+    lam and mu are rounded to the parameter grid, as a symbol's parameters are.
+    """
     a = as_multi_index(a)
     b = as_multi_index(b)
     n = len(a)
@@ -32,8 +35,8 @@ def gaussian_moment(a, b, lam=None, mu=None) -> complex:
         raise ValueError(f"dimension mismatch: {len(a)} vs {len(b)}")
     if any(k > MAX_EXPONENT for k in a) or any(k > MAX_EXPONENT for k in b):
         raise ValueError(f"exponent above {MAX_EXPONENT}; exact-arithmetic cap exceeded")
-    lam = _as_cvector(lam, n)
-    mu = _as_cvector(mu, n)
+    lam = _snap(_as_cvector(lam, n))
+    mu = _snap(_as_cvector(mu, n))
 
     out = cmath.exp(sum(x * y for x, y in zip(lam, mu)))
     for ak, bk, lk, mk in zip(a, b, lam, mu):

@@ -11,22 +11,22 @@ this package, which is what makes all the operator identities exactly
 checkable.
 
 Holomorphic symbols are plain Symbols whose terms all have b = 0 and d = 0
-(`is_holomorphic`); operations that only make sense there (shift, reflect)
-enforce it at runtime.
+(`is_holomorphic`); operations that only make sense there (shift) enforce
+it at runtime.
 
-Canonical form: terms with the same key (a, b, c, d) are merged, where the
-exponential parameters c, d compare with an absolute tolerance of 1e-9 so
-that float noise like c + c' - c' re-merges with c; coefficients whose
-modulus falls below 1e-12 * max(1, largest modulus) are dropped; terms are
-ordered graded-lex on (a, b), then lexicographically on the real/imaginary
-parts of (c, d).  The zero symbol is the empty term list.  Within one
-monomial (a, b), keys are clustered in that parameter order: each joins the
-first group whose representative is within tolerance, and a group's
-representative -- the (c, d) its merged term keeps -- is its first key in
-parameter order.  A coefficient that is not finite, or whose modulus
-overflows, raises ValueError; so does a non-finite exponential parameter
-given to a constructor, or one that a product or a Toeplitz action would
-make by overflow.
+Canonical form: each real and imaginary part of an exponential parameter
+is rounded to the nearest multiple of PARAM_STEP = 2^-40; a part that is
+not finite or exceeds PARAM_MAX = 2^12 in magnitude raises ValueError.
+Below 2^13, sums, negations and conjugates of grid values are exact in
+float64, so every parameter derived from canonical symbols is on the grid
+already and term keys (a, b, c, d) compare exactly with ==.  Terms with
+equal keys merge.  A merged coefficient is dropped when it is 0, or when
+two or more summands met at its key and its modulus is at most COEF_FLOOR
+= 1e-12 times the sum of theirs: only cancellation noise goes, however
+small a term is next to the others.  Terms are ordered graded-lex on
+(a, b), then lexicographically on the real/imaginary parts of (c, d); the
+zero symbol is the empty term list.  A coefficient that is not finite, or
+whose modulus overflows, raises ValueError.
 
 Operations that build a result from many raw terms work on term maps
 {(a, b, c, d): coef}, which merge equal keys as they go, and canonicalize
@@ -43,16 +43,18 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from itertools import chain
 from operator import add
 from typing import Iterable
 
 from .indices import MultiIndex, as_multi_index
 
-#: absolute tolerance for grouping exponential parameters into one term key
-PARAM_TOL = 1e-9
+#: exponential parameter parts are rounded to multiples of this grid step
+PARAM_STEP = 2.0**-40
 
-#: relative floor below which merged coefficients are dropped
+#: largest magnitude of an exponential parameter part
+PARAM_MAX = 2.0**12
+
+#: a merged coefficient at most this times its summands' moduli is cancellation noise
 COEF_FLOOR = 1e-12
 
 ComplexVector = tuple[complex, ...]
@@ -88,19 +90,15 @@ def _as_cvector(v, n: int) -> ComplexVector:
     return t
 
 
-def _check_param_sum(v: ComplexVector) -> None:
-    if not all(map(cmath.isfinite, v)):
-        raise ValueError("exponential parameter overflows the float range")
+def _snap_part(x: float) -> float:
+    if not abs(x) <= PARAM_MAX:  # also rejects nan
+        raise ValueError(f"exponential parameter part {x!r} is not finite or above 2^12 in magnitude")
+    return round(x / PARAM_STEP) * PARAM_STEP
 
 
-def _params_may_overflow(s: Iterable[ComplexVector], t: Iterable[ComplexVector]) -> bool:
-    """Whether adding a parameter vector of s to one of t can leave the float range."""
-    # a parameter's modulus bounds both of its parts, and overflows only when they are huge
-    try:
-        bounds = [max(map(abs, chain.from_iterable(vs)), default=0.0) for vs in (s, t)]
-    except OverflowError:
-        return True
-    return not math.isfinite(bounds[0] + bounds[1])
+def _snap(v: Iterable[complex]) -> ComplexVector:
+    """v with each part rounded to the grid; ValueError for a part out of range."""
+    return tuple(complex(_snap_part(x.real), _snap_part(x.imag)) for x in v)
 
 
 def _exp_factor(u: ComplexVector, v: ComplexVector) -> complex:
@@ -112,10 +110,6 @@ def _exp_factor(u: ComplexVector, v: ComplexVector) -> complex:
     if not cmath.isfinite(out):
         raise ValueError("exponential factor overflows the float range")
     return out
-
-
-def _vec_close(u: ComplexVector, v: ComplexVector) -> bool:
-    return all(abs(x - y) <= PARAM_TOL for x, y in zip(u, v))
 
 
 def _vec_sort_key(v: ComplexVector):
@@ -133,67 +127,82 @@ def _param_sort_key(key):
     return (_vec_sort_key(key[2]), _vec_sort_key(key[3]))
 
 
-def _moduli(coefs: list[complex], keys: list) -> list[float]:
-    """|x| for each coefficient x; keys[i] starts with the (a, b) of coefs[i].
+def _checked(m: dict) -> dict:
+    """The term map m; ValueError if a coefficient is not finite or its modulus overflows.
 
-    A coefficient that is not finite, or whose modulus overflows, raises
-    ValueError.  Finite moduli can still sum to inf, so only a failed sum
-    pays for the per-term test.
+    Finite moduli can still sum to inf, so only a failed sum pays for the per-term test.
     """
     try:
-        mags = [abs(x) for x in coefs]
+        mags = [abs(x) for x in m.values()]
     except OverflowError:  # finite parts, modulus beyond the float range
         raise ValueError("coefficient modulus overflows the float range") from None
     if not math.isfinite(sum(mags)) and not all(map(math.isfinite, mags)):
-        i = next(i for i, m in enumerate(mags) if not math.isfinite(m))
-        raise ValueError(f"non-finite coefficient {coefs[i]} at z^{keys[i][0]} conj(z)^{keys[i][1]}")
-    return mags
+        (a, b, _, _), x = next((key, x) for key, x in m.items() if not cmath.isfinite(x))
+        raise ValueError(f"non-finite coefficient {x} at z^{a} conj(z)^{b}")
+    return m
 
 
-def _canonicalize(n: int, raw: Iterable[SymbolTerm]) -> tuple[SymbolTerm, ...]:
-    # Phase 1: exact-key merge (cheap, catches the common case of identical
-    # float parameters).
-    exact: dict[tuple, complex] = {}
+def _merge(out: dict, mass: dict, items: Iterable[tuple]) -> dict:
+    """Add each (key, coef) of items into the term map out; mass[key] sums the moduli
+    of the summands of each key that receives two or more (a lone one is no noise)."""
+    for key, x in items:
+        y = out.get(key)
+        if y is None:
+            out[key] = x
+        else:
+            out[key] = y + x
+            try:
+                mass[key] = mass.get(key, abs(y)) + abs(x)
+            except OverflowError:  # finite parts, modulus beyond the float range
+                mass[key] = math.inf
+    return out
+
+
+def _drop_noise(m: dict, mass: dict) -> dict:
+    """m without the keys whose coefficient is at most COEF_FLOOR times mass[key]
+    (see _merge); a key whose mass overflows stays."""
+    for key, s in mass.items():
+        if COEF_FLOOR * s < math.inf and abs(m[key]) <= COEF_FLOOR * s:
+            del m[key]
+    return m
+
+
+def _keyed(n: int, raw: Iterable[SymbolTerm]):
     for t in raw:
         if len(t.a) != n or len(t.b) != n or len(t.c) != n or len(t.d) != n:
             raise ValueError(f"term dimension mismatch (expected n={n}): {t}")
-        key = (t.a, t.b, t.c, t.d)
-        exact[key] = exact.get(key, 0j) + complex(t.coef)
+        yield (t.a, t.b, t.c, t.d), complex(t.coef)
 
-    # Phase 2: cluster keys of one monomial (a, b) whose exponential
-    # parameters agree within PARAM_TOL componentwise.  Monomials are visited
-    # in output order and each one's keys in parameter order, so groups come
-    # out in output order with a deterministic representative.
+
+def _canonicalize(n: int, raw: Iterable[SymbolTerm]) -> tuple[SymbolTerm, ...]:
+    raw = list(raw)
+    mass: dict[tuple, float] = {}
+    merged = _merge({}, mass, _keyed(n, raw))
+
+    # Snap once per distinct nonzero parameter vector; derived ones are on the
+    # grid already.  If one moved, merge the raw terms again on snapped keys.
+    moved = {}
+    for v in {key[2] for key in merged} | {key[3] for key in merged}:
+        if any(v) and _snap(v) != v:
+            moved[v] = _snap(v)
+    if moved:
+        get = moved.get
+        items = (((t.a, t.b, get(t.c, t.c), get(t.d, t.d)), complex(t.coef)) for t in raw)
+        mass = {}
+        merged = _merge({}, mass, items)
+
+    # check, drop noise and zeros, and sort each monomial's keys on their own
     by_ab: dict[tuple, list[tuple]] = {}
-    for key in exact:
-        by_ab.setdefault(key[:2], []).append(key)
-    groups: list[list] = []  # [a, b, c, d, coef]
+    for key, x in _drop_noise(_checked(merged), mass).items():
+        if x:
+            by_ab.setdefault(key[:2], []).append(key)
+    out = []
     for ab in sorted(by_ab, key=_ab_sort_key, reverse=True):
         keys = by_ab[ab]
         if len(keys) > 1:
             keys.sort(key=_param_sort_key)
-        mine: list[list] = []  # the groups of this monomial
-        for key in keys:
-            a, b, c, d = key
-            coef = exact[key]
-            for g in mine:
-                if _vec_close(g[2], c) and _vec_close(g[3], d):
-                    g[4] += coef
-                    break
-            else:
-                g = [a, b, c, d, coef]
-                mine.append(g)
-                groups.append(g)
-
-    # Phase 3: reject non-finite coefficients, drop those below the relative
-    # floor.
-    if not groups:
-        return ()
-    mags = _moduli([g[4] for g in groups], groups)
-    floor = COEF_FLOOR * max(1.0, max(mags))
-    return tuple(
-        [SymbolTerm(g[4], g[0], g[1], g[2], g[3]) for g, m in zip(groups, mags) if m >= floor]
-    )
+        out += [SymbolTerm(merged[key], *key) for key in keys]
+    return tuple(out)
 
 
 class Symbol:
@@ -304,27 +313,6 @@ class Symbol:
         """Pointwise complex conjugate: (coef,a,b,c,d) -> (coef*,b,a,d*,c*)."""
         return Symbol(self.n, _terms(_conj(_term_map(self.terms))))
 
-    def reflect(self) -> "Symbol":
-        """conj(f(conj(z))): conjugates coefficients and exponential parameters.
-
-        Holomorphic symbols only; the result is again holomorphic.
-        """
-        if not self.is_holomorphic:
-            raise ValueError("reflect is defined for holomorphic symbols only")
-        return Symbol(
-            self.n,
-            (
-                SymbolTerm(
-                    t.coef.conjugate(),
-                    t.a,
-                    t.b,
-                    tuple(x.conjugate() for x in t.c),
-                    t.d,
-                )
-                for t in self.terms
-            ),
-        )
-
     def shift(self, eta) -> "Symbol":
         """Argument shift z |-> z - eta for holomorphic symbols.
 
@@ -434,26 +422,26 @@ def _terms(m: dict) -> list[SymbolTerm]:
 
 
 def _product(s: dict, t: dict) -> dict:
-    """Term map of the product of the term maps s and t.
+    """Term map of the product of the term maps s and t, without cancellation noise.
 
-    The coefficients of one key add up in the order of the term pairs,
-    starting from 0j, as _canonicalize's merge does.  A parameter sum that
-    overflows raises ValueError; coefficients are not checked here.
+    The coefficients of one key add up in the order of the term pairs; grid
+    parameters add exactly below 2^13.  Coefficients are not checked here.
     """
-    out: dict = {}
-    for (a, b, c, d), x in s.items():
-        for (a2, b2, c2, d2), y in t.items():
-            key = (
+    mass: dict = {}
+    pairs = (
+        (
+            (
                 tuple(map(add, a, a2)),
                 tuple(map(add, b, b2)),
                 tuple(map(add, c, c2)),
                 tuple(map(add, d, d2)),
-            )
-            out[key] = out.get(key, 0j) + x * y
-    if _params_may_overflow([k[2] + k[3] for k in s], [k[2] + k[3] for k in t]):
-        for key in out:
-            _check_param_sum(key[2] + key[3])
-    return out
+            ),
+            x * y,
+        )
+        for (a, b, c, d), x in s.items()
+        for (a2, b2, c2, d2), y in t.items()
+    )
+    return _drop_noise(_merge({}, mass, pairs), mass)
 
 
 def _conj(m: dict) -> dict:

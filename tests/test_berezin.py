@@ -1,11 +1,14 @@
 import math
 import random
 
+import pytest
+
 from fockcalc.berezin import berezin, operator_berezin
+from fockcalc.indices import MAX_EXPONENT
 from fockcalc.oracle import quad_integral
 from fockcalc.sharp import sharp
 from fockcalc.suites import random_holo, unit_disc
-from fockcalc.symbols import coordinate, exponential, relative_residual
+from fockcalc.symbols import coordinate, exponential, monomial, relative_residual
 from fockcalc.toeplitz import OpChain
 
 ONES2 = (1 + 0j, 1 + 0j)
@@ -23,6 +26,17 @@ def test_holomorphic_fixed_point():
 def test_zzbar_gains_unit():
     s = coordinate(1, 1) * coordinate(1, 1).conj()
     assert relative_residual(berezin(s), s + 1) == 0.0
+
+
+def test_mixed_monomial_keeps_every_term():
+    # B(z^k conj(z)^k) = sum_j C(k,j)^2 j! z^(k-j) conj(z)^(k-j); the leading
+    # coefficient 1 is far below k! but is no cancellation noise
+    for k in range(MAX_EXPONENT + 1):
+        got = berezin(monomial(1, (k,), b=(k,)))
+        assert [(t.a, t.b) for t in got.terms] == [((i,), (i,)) for i in range(k + 1)]
+        for t in got.terms:
+            j = k - t.a[0]
+            assert t.coef == pytest.approx(math.comb(k, j) ** 2 * math.factorial(j), rel=1e-15)
 
 
 def test_zzbar_matches_quadrature_at_points():

@@ -92,14 +92,43 @@ def test_arithmetic_overflow_rejected():
 
 
 def test_parameter_overflow_rejected():
-    # every parameter is finite; a product's sum of parameters is not
-    for text in ("exp(1e308*z1)^2", "exp(1e308*z1)^2*exp(-1e308*z1)^2", "exp(1e308*conj(z1))^2"):
-        with pytest.raises(ValueError, match="exponential parameter overflows"):
+    # an exp or K parameter part above 2^12 in magnitude is a syntax error at its position
+    for text, pos in (
+        ("exp(1e308*z1)^2", 0),
+        ("z1 + exp(5000i*conj(z1))", 5),
+        ("z1*K(4096.5)", 3),
+        ("exp(0.5*z1 - 1e308*z1)", 0),
+    ):
+        with pytest.raises(SymbolSyntaxError, match="exponential parameter") as err:
+            parse_symbol(text, 1)
+        assert err.value.position == pos, text
+    assert parse_symbol("exp(4096*z1 - 4096i*conj(z1))", 1).terms[0].c == (4096,)
+    # a product whose parameters leave the range raises when the result is built
+    for text in ("exp(3000*z1)^2", "exp(3000*conj(z1))*exp(3000*conj(z1))"):
+        with pytest.raises(ValueError, match="exponential parameter"):
             parse_symbol(text, 1)
     with pytest.raises(ValueError, match="finite"):
         exponential(1, c=[float("nan")])
     with pytest.raises(ValueError, match="finite"):
         kernel([complex(0, float("inf"))])
+
+
+def test_parameters_are_exact_on_the_grid():
+    # the parameters of a product add exactly, so they cancel to an exact 0
+    text = "exp(0.1*conj(z1))*exp(0.2*conj(z1))*exp(-0.3*conj(z1))"
+    assert parse_symbol(text, 1) == parse_symbol("1", 1)
+    # a parameter prints as the shortest decimal that parses back to it
+    assert format_symbol(parse_symbol("exp(0.2*z1)", 1)) == "exp(0.2*z1)"
+    assert format_symbol(kernel([0.1 - 1234.5678j])) == "exp((0.1+1234.5678i)*z1)"
+    # at the edge of the range a shorter decimal would leave it (4.1e+03 > 2^12)
+    text = "exp(4096*z1 - 4095.99*conj(z1))"
+    assert format_symbol(parse_symbol(text, 1)) == text
+
+
+def test_parse_drops_only_cancellation_noise():
+    # 0.1 + 0.2 - 0.3 and 0.1*3 - 0.3 leave float noise; 1e-13 is a value
+    assert format_symbol(parse_symbol("0.1*z1 + 0.2*z1 - 0.3*z1 + 1e-13", 1)) == "1e-13"
+    assert format_symbol(parse_symbol("(0.1*z1 + 0.3)*(3 - z1)", 1)) == "0.9 - 0.1*z1^2"
 
 
 def test_parse_does_not_depend_on_term_order():

@@ -107,6 +107,13 @@ def test_cli_parse_and_compute(capsys):
     out = capsys.readouterr().out
     assert "1 + z1*conj(z1)" in out and "1.5" in out
 
+    # a point component is a number, however small
+    assert main(["parse", "-s", "z1", "--n", "1", "--at", "1e-13"]) == 0
+    assert capsys.readouterr().out.splitlines() == ["z1", "at (1e-13): 1e-13"]
+
+    assert main(["parse", "-s", "exp(0.2*z1)", "--n", "1"]) == 0
+    assert capsys.readouterr().out.strip() == "exp(0.2*z1)"
+
     assert main(["moment", "-s", "z1^2*conj(z1)^2", "--n", "1"]) == 0
     assert capsys.readouterr().out.strip() == "2"
 

@@ -1,14 +1,17 @@
 import cmath
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fockcalc.dsl import SymbolSyntaxError, format_symbol, parse_symbol
 from fockcalc.symbols import (
     COEF_FLOOR,
-    PARAM_TOL,
+    PARAM_MAX,
+    PARAM_STEP,
     Symbol,
     SymbolTerm,
     constant,
@@ -19,7 +22,7 @@ from fockcalc.symbols import (
     relative_residual,
     zero,
 )
-from fockcalc.symbols import _canonicalize, _vec_close, _vec_sort_key
+from fockcalc.symbols import _canonicalize, _vec_sort_key
 
 Z = coordinate(1, 1)
 
@@ -79,18 +82,41 @@ def test_canon_merges_equal_keys():
 
 
 def test_canon_drops_below_floor():
-    # with a unit-size term present, 1e-15 sits below the 1e-12 relative floor
-    s = Symbol(1, [term(1e-15, (1,)), term(1, (0,))])
-    assert len(s.terms) == 1
-    assert s.terms[0].a == (0,)
+    # a lone term is kept however small it is next to the others
+    s = Symbol(1, [term(1e-15, (1,)), term(1e6, (0,))])
+    assert [t.coef for t in s.terms] == [1e6, 1e-15]
+    assert Symbol(1, [term(0, (1,)), term(0j, (2,))]).is_zero
+    # a merged coefficient at most 1e-12 of its summands' moduli is cancellation noise
+    noise = [term(0.1, (1,)), term(0.2, (1,)), term(-0.3, (1,))]
+    assert 0 < abs(0.1 + 0.2 - 0.3) <= COEF_FLOOR * 0.6
+    assert Symbol(1, noise).is_zero
+    # just above the floor a merged coefficient stays
+    s = Symbol(1, [term(1, (1,)), term(-1 + 4e-12, (1,))])
+    assert len(s.terms) == 1 and abs(s.terms[0].coef - 4e-12) < 1e-15
 
 
 def test_canon_groups_close_exponential_parameters():
-    c = 0.3 + 0.7j
-    bump = 1e-13
-    s = Symbol(1, [term(1, (0,), c=(c,)), term(1, (0,), c=(c + bump,))])
-    assert len(s.terms) == 1
-    assert abs(s.terms[0].coef - 2) < 1e-12
+    g = 0.3125 + 0.6875j  # a grid point
+    near = [g - 0.4 * PARAM_STEP, g + 0.4j * PARAM_STEP, g]
+    s = Symbol(1, [term(1, (0,), c=(x,)) for x in near])
+    assert [(t.coef, t.c) for t in s.terms] == [(3, (g,))]
+    # one grid step apart, keys stay apart
+    s = Symbol(1, [term(1, (0,), c=(g + PARAM_STEP,)), term(1, (0,), c=(g,))])
+    assert [t.c for t in s.terms] == [(g,), (g + PARAM_STEP,)]
+    # a half step rounds to the even grid point, in either direction
+    s = Symbol(1, [term(1, (0,), d=(x * PARAM_STEP,)) for x in (0.5, -0.5, 1.5)])
+    assert [(t.coef, t.d) for t in s.terms] == [(2, (0j,)), (1, (2 * PARAM_STEP + 0j,))]
+
+
+def test_canon_rejects_parameters_out_of_range():
+    edge = Symbol(1, [term(1, (0,), c=(complex(PARAM_MAX, -PARAM_MAX),))])
+    assert edge.terms[0].c == (complex(PARAM_MAX, -PARAM_MAX),)
+    for part in (math.nan, math.inf, -math.inf, 4096.5, -1e308):
+        for c in (complex(part, 0), complex(0, part)):
+            with pytest.raises(ValueError, match="exponential parameter"):
+                Symbol(1, [term(1, (0,), c=(c,))])
+            with pytest.raises(ValueError, match="exponential parameter"):
+                Symbol(2, [term(1, (0, 1), d=(0j, c))])
 
 
 def test_canon_idempotent():
@@ -126,7 +152,15 @@ def test_canon_rejects_non_finite_coefficients():
     assert [t.coef for t in s.terms] == [1e308, 1e308]
 
 
-# -- canonical form against the sort-twice reference ----------------------------
+# -- canonical form against the snap-then-sort reference ---------------------------
+
+
+def _reference_snap(v):
+    # round half to even on the exact binary value, through Fraction
+    return tuple(
+        complex(*(math.ldexp(round(Fraction(p) * 2**40), -40) for p in (x.real, x.imag)))
+        for x in v
+    )
 
 
 def _reference_term_sort_key(entry):
@@ -141,43 +175,37 @@ def _reference_term_sort_key(entry):
 
 
 def _reference_canonicalize(n, raw):
-    """Canonicalization by one global sort of all keys and a second sort of
-    the result; kept as the oracle whose output must be reproduced exactly."""
-    exact = {}
+    """Canonicalization by snapping every raw key and one global sort; kept as
+    the oracle whose output must be reproduced exactly.
+
+    A parameter vector already on the grid keeps its own parts (a -0.0
+    stays), and the coefficients of one grid key add up in input order.
+    """
+    sums = {}  # grid key -> [sum, sum of the summands' moduli or None]
     for t in raw:
-        key = (t.a, t.b, t.c, t.d)
-        exact[key] = exact.get(key, 0j) + complex(t.coef)
-    groups = []
-    by_ab = {}
-    for key in sorted(exact, key=_reference_term_sort_key):
-        a, b, c, d = key
-        coef = exact[key]
-        merged = False
-        for gi in by_ab.get((a, b), ()):
-            g = groups[gi]
-            if _vec_close(g[2], c) and _vec_close(g[3], d):
-                g[4] += coef
-                merged = True
-                break
-        if not merged:
-            by_ab.setdefault((a, b), []).append(len(groups))
-            groups.append([a, b, c, d, coef])
-    if not groups:
-        return ()
-    biggest = max(abs(g[4]) for g in groups)
-    floor = COEF_FLOOR * max(1.0, biggest)
+        c, d = (v if _reference_snap(v) == v else _reference_snap(v) for v in (t.c, t.d))
+        key, x = (t.a, t.b, c, d), complex(t.coef)
+        if key in sums:
+            g = sums[key]
+            g[1] = (abs(g[0]) if g[1] is None else g[1]) + abs(x)
+            g[0] += x
+        else:
+            sums[key] = [x, None]
     terms = [
-        SymbolTerm(g[4], g[0], g[1], g[2], g[3]) for g in groups if abs(g[4]) >= floor
+        SymbolTerm(x, *key)
+        for key, (x, m) in sums.items()
+        if x != 0 and (m is None or abs(x) > COEF_FLOOR * m)
     ]
     terms.sort(key=lambda t: _reference_term_sort_key((t.a, t.b, t.c, t.d)))
     return tuple(terms)
 
 
-# parameter parts at, just inside and just outside the merge tolerance; 0 and
-# 1.2e-9 do not merge, but each merges with 0.6e-9
-_PARAM_PARTS = [0.0, -0.0, 0.6e-9, -0.6e-9, 1.2e-9, -1.2e-9, PARAM_TOL, -PARAM_TOL, 0.25]
-# moduli on both sides of the 1e-12 floor, for a largest modulus of 1 and of 3
-_COEF_PARTS = [0.0, -0.0, 1.0, -1.0, 3.0, 1e-12, 0.999e-12, 1.001e-12, -2.99e-12, 3.01e-12, 1e-13]
+# parameter parts that tolerance clustering merged by summation order (0 and
+# 1.2e-9 apart, each within 1e-9 of 0.6e-9), half grid steps and a grid value
+_PARAM_PARTS = [0.0, -0.0, 0.6e-9, -0.6e-9, 1.2e-9, -1.2e-9, 1e-9, -1e-9, 0.25]
+_PARAM_PARTS += [k * 2.0**-41 for k in (1, -1, 3, -3)] + [0.25 + 2.0**-41]
+# sums on both sides of the floor for summands of modulus about 1 and 3
+_COEF_PARTS = [0.0, -0.0, 1.0, -1.0, 3.0, -3.0, 1e-12, 1e-13, -0.999999999999, -2.99999999999]
 
 
 @st.composite
@@ -203,13 +231,110 @@ def _raw_terms(draw):
     return n, [SymbolTerm(coef, a, b, c, d) for ((a, b), c, d), coef in raw]
 
 
+_MOVED_NOISE = [term(x, (0,), c=(0.6e-9,)) for x in (1, -1 + 1e-13)]
+
+
 @settings(max_examples=200, deadline=None)
 @given(_raw_terms())
-@example((1, [term(1, (0,)), term(COEF_FLOOR, (1,))]))  # a modulus exactly at the floor
+@example((1, [term(1, (0,), c=(x,)) for x in (1.2e-9, 0.6e-9, 0.0)]))
+@example((1, [term(1, (0,), c=(2.0**-41,)), term(1, (0,), c=(0.6e-9,)), term(-1, (0,))]))
+# the moduli of summands that cancel count for a key off the grid, whether or
+# not it lands on a key already there
+@example((1, _MOVED_NOISE))
+@example((1, _MOVED_NOISE + [term(1e-13, (0,), c=(660 * PARAM_STEP,))]))
 def test_canon_matches_sort_twice_reference_exactly(case):
     n, raw = case
     got = [repr(t) for t in _canonicalize(n, raw)]
     assert got == [repr(t) for t in _reference_canonicalize(n, raw)]
+
+
+# -- laws on canonical keys ------------------------------------------------------------
+
+
+def _same_keys_close_coefs(s, t):
+    assert [(x.a, x.b, x.c, x.d) for x in s.terms] == [(x.a, x.b, x.c, x.d) for x in t.terms]
+    scale = max([abs(x.coef) for x in s.terms + t.terms], default=0.0)
+    for x, y in zip(s.terms, t.terms):
+        assert abs(x.coef - y.coef) <= 1e-12 * scale
+
+
+def _symbols(n):
+    part = st.one_of(st.sampled_from(_PARAM_PARTS), st.floats(-2, 2))
+    vec = st.tuples(*[st.builds(complex, part, part)] * n)
+    zero = (0j,) * n
+    # coefficient parts of one scale: the laws hold on keys only away from
+    # sums that cancel to within the floor
+    coef_part = st.one_of(st.just(0.0), st.floats(0.125, 2), st.floats(-2, -0.125))
+    expo = st.tuples(*[st.integers(0, 2)] * n)
+    raw = st.lists(
+        st.builds(
+            SymbolTerm,
+            st.builds(complex, coef_part, coef_part),
+            expo,
+            expo,
+            st.one_of(st.just(zero), vec),
+            st.one_of(st.just(zero), vec),
+        ),
+        max_size=3,
+    )
+    return raw.map(lambda terms: Symbol(n, terms))
+
+
+_symbol_triples = st.integers(1, 2).flatmap(lambda n: st.tuples(*[_symbols(n)] * 3))
+# parameters that tolerance clustering merged in some summation orders only
+_CLUSTER_TRIPLE = tuple(exponential(1, c=[x]) for x in (0.0, 0.6e-9, 1.2e-9))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_symbol_triples)
+@example(_CLUSTER_TRIPLE)
+def test_add_and_mul_are_associative_and_commutative_on_keys(triple):
+    s, t, u = triple
+    _same_keys_close_coefs(s + t, t + s)
+    _same_keys_close_coefs((s + t) + u, s + (t + u))
+    _same_keys_close_coefs(s * t, t * s)
+    _same_keys_close_coefs((s * t) * u, s * (t * u))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 3).flatmap(_symbols))
+def test_conj_is_an_exact_involution(s):
+    assert s.conj().conj() == s
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 3).flatmap(_symbols))
+def test_format_parse_round_trip_keeps_every_key(s):
+    back = parse_symbol(format_symbol(s), s.n)
+    assert [(t.a, t.b, t.c, t.d) for t in back.terms] == [(t.a, t.b, t.c, t.d) for t in s.terms]
+    assert relative_residual(back, s) <= 1e-12
+
+
+_BAD_PARTS = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+    st.floats(min_value=PARAM_MAX, exclude_min=True, allow_infinity=False),
+    st.floats(max_value=-PARAM_MAX, exclude_max=True, allow_infinity=False),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_BAD_PARTS, st.booleans())
+def test_parameters_out_of_range_raise(part, imaginary):
+    x = complex(0, part) if imaginary else complex(part, 0)
+    for build in (
+        lambda: exponential(1, c=[x]),
+        lambda: exponential(2, d=[0, x]),
+        lambda: kernel([x]),
+        lambda: Symbol(1, [term(1, (0,), c=(x,))]),
+    ):
+        with pytest.raises(ValueError):
+            build()
+    if math.isfinite(part):
+        text = repr(abs(part)) + ("i" if imaginary else "")
+        for source in (f"z1 + exp({text}*conj(z1))", f"z1 + K({text})"):
+            with pytest.raises(SymbolSyntaxError, match="exponential parameter") as err:
+                parse_symbol(source, 1)
+            assert err.value.position == 5
 
 
 # -- products -----------------------------------------------------------------
@@ -249,7 +374,7 @@ def test_eval_is_ring_homomorphism():
         assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(rhs))
 
 
-# -- conjugation / reflection ----------------------------------------------------
+# -- conjugation ----------------------------------------------------------------
 
 
 def test_conj_examples():
@@ -276,22 +401,6 @@ def test_conj_matches_pointwise_conjugate():
         s = random_symbol(rng, n)
         zeta = random_point(rng, n)
         assert abs(s.conj().eval(zeta) - s.eval(zeta).conjugate()) < 1e-10
-
-
-def test_reflect_examples():
-    f = coordinate(1, 1).scale(1j)
-    assert f.reflect().terms[0].coef == -1j
-    e = exponential(1, c=[0.2 + 0.4j])
-    assert e.reflect().terms[0].c == ((0.2 - 0.4j),)
-
-
-def test_reflect_involution_and_guard():
-    rng = random.Random(41)
-    for _ in range(20):
-        f = random_holo(rng, rng.randint(1, 3))
-        assert f.reflect().reflect() == f
-    with pytest.raises(ValueError):
-        (Z * Z.conj()).reflect()
 
 
 # -- shift ------------------------------------------------------------------------
@@ -358,7 +467,7 @@ def test_dz_index_guard():
 def test_eval_examples():
     assert abs((Z * Z.conj()).eval([2j]) - 4) < 1e-14
     assert exponential(1, c=[0.3]).eval([0]) == 1
-    w = (0.4 + 0.9j, -0.2j)
+    w = (0.375 + 0.875j, -0.25j)  # on the parameter grid, so conj(w) is exact
     kw = kernel(w)
     norm2 = sum(abs(x) ** 2 for x in w)
     assert abs(kw.eval(w) - cmath.exp(norm2)) < 1e-12

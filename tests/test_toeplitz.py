@@ -121,8 +121,11 @@ def test_guards():
         OpChain([])
     with pytest.raises(ValueError):
         OpChain([Z, coordinate(2, 1)])
-    big = exponential(1, c=[1e308])
-    with pytest.raises(ValueError, match="exponential parameter overflows"):
+    with pytest.raises(ValueError, match="exponential parameter"):
+        exponential(1, c=[1e308])
+    # each parameter is in range, their sum is not
+    big = exponential(1, c=[3000])
+    with pytest.raises(ValueError, match="exponential parameter"):
         toeplitz_apply(big, big)
     with pytest.raises(ValueError, match="exponential factor overflows"):
         toeplitz_apply(exponential(1, d=[30]), exponential(1, c=[30]))
