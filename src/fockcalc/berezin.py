@@ -29,7 +29,7 @@ from .toeplitz import OpChain
 
 def berezin(s: Symbol) -> Symbol:
     """Berezin transform of a symbol, returned as a symbol in the same class."""
-    raw = []
+    items = []
     for t in s.terms:
         factors = []
         for ak, bk, ck, dk in zip(t.a, t.b, t.c, t.d):
@@ -40,8 +40,8 @@ def berezin(s: Symbol) -> Symbol:
                     for l, y in _binomial(bk - j, ck):
                         fk[i, l] = fk.get((i, l), 0) + w * x * y
             factors.append(fk)
-        _expand(raw, t.coef * _exp_factor(t.c, t.d), factors, t.c, t.d)
-    return Symbol(s.n, raw)
+        _expand(items, t.coef * _exp_factor(t.c, t.d), factors, t.c, t.d)
+    return Symbol._of(s.n, items)
 
 
 def operator_berezin(chain: OpChain, zeta) -> complex:

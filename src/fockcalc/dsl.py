@@ -8,9 +8,10 @@ rule of `symbols`; both drop the cancellation noise of the keys they
 merge.  The result is canonicalized once, plus once for the argument of
 each exp and each component of K, so a sum of many terms parses in linear
 time.  Every diagnostic on bad notation, including an exp or K parameter
-part outside the range of `symbols`, is a SymbolSyntaxError carrying the
-character position; arithmetic that leaves the float range, or a product
-whose parameters leave that range, raises a plain ValueError.
+part outside the range of `symbols` and a product (`*` or `^`) whose
+parameter parts leave that range, is a SymbolSyntaxError carrying the
+character position; arithmetic that leaves the float range raises a plain
+ValueError.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ import re
 from typing import NamedTuple
 
 from .symbols import PARAM_STEP, Symbol, _checked, _conj, _drop_noise, _merge, _product, _snap
-from .symbols import _terms
 
 
 class SymbolSyntaxError(ValueError):
@@ -109,19 +109,19 @@ class _Parser:
     def term(self) -> dict:
         out = self.factor()
         while self.peek().kind == "op" and self.peek().text == "*":
-            self.advance()
-            out = self._mul(out, self.factor())
+            pos = self.advance().pos
+            out = self._mul(out, self.factor(), pos)
         return out
 
     # factor := base ["^" nat]
     def factor(self) -> dict:
         out = self.base()
         if self.peek().kind == "op" and self.peek().text == "^":
-            self.advance()
+            pos = self.advance().pos
             # x^0 is 1 for every x, so x is checked before it can be dropped
             base, out = _checked(out), self._constant(1)
             for _ in range(self.nat()):
-                out = self._mul(out, base)
+                out = self._mul(out, base, pos)
         return out
 
     def nat(self) -> int:
@@ -160,7 +160,7 @@ class _Parser:
                 self.expect_op("(")
                 inner = self.expr()
                 self.expect_op(")")
-                return self._lower_exp(Symbol(self.n, _terms(inner)), tok.pos)
+                return self._lower_exp(Symbol._of(self.n, list(inner.items())), tok.pos)
             if tok.text == "K":
                 self.advance()
                 self.expect_op("(")
@@ -188,19 +188,29 @@ class _Parser:
     def _constant(self, value: complex) -> dict:
         return {(self.zero, self.zero, self.czero, self.czero): complex(value)}
 
-    def _exponential(self, c, d, coef: complex, pos: int) -> dict:
-        """coef * exp(z.c + conj(z).d); SymbolSyntaxError at pos for a parameter out of range."""
+    def _snapped(self, v, pos: int):
+        """The parameter vector v on the grid; SymbolSyntaxError at pos for a part out of range."""
         try:
-            return {(self.zero, self.zero, _snap(c), _snap(d)): coef}
+            return _snap(v)
         except ValueError as exc:
             raise SymbolSyntaxError(str(exc), pos) from None
 
-    def _mul(self, s: dict, t: dict) -> dict:
-        return _checked(_product(s, t))
+    def _exponential(self, c, d, coef: complex, pos: int) -> dict:
+        """coef * exp(z.c + conj(z).d); SymbolSyntaxError at pos for a parameter out of range."""
+        return {(self.zero, self.zero, self._snapped(c, pos), self._snapped(d, pos)): coef}
+
+    def _mul(self, s: dict, t: dict, pos: int) -> dict:
+        """The product s * t; SymbolSyntaxError at pos, the operator's position, for a
+        parameter part out of range, so that every later sum of parameters stays exact."""
+        out = _checked(_product(s, t))
+        for v in {key[2] for key in out} | {key[3] for key in out}:
+            if any(v):
+                self._snapped(v, pos)
+        return out
 
     def _const_arg(self) -> complex:
         tok = self.peek()
-        value = Symbol(self.n, _terms(self.expr()))
+        value = Symbol._of(self.n, list(self.expr().items()))
         if not value.is_constant:
             raise SymbolSyntaxError("kernel components must be constants", tok.pos)
         return value.constant_value()
@@ -242,7 +252,7 @@ def parse_symbol(text: str, n: int) -> Symbol:
     tok = p.peek()
     if tok.kind != "end":
         raise SymbolSyntaxError(f"unexpected trailing input {tok.text!r}", tok.pos)
-    return Symbol(n, _terms(out))
+    return Symbol._of(n, list(out.items()))
 
 
 # -- formatting -------------------------------------------------------------

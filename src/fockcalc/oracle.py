@@ -7,7 +7,8 @@ checked against numerics that share no code with them.
 quad_integral integrates a symbol against the normalized Gaussian by
 tensor Gauss-Hermite quadrature on R^{2n}.  Exponential parameters must
 stay below modulus 2 so the Gaussian still dominates the integrand on the
-quadrature range.
+quadrature range.  The rule of each order is computed once and cached, as
+read-only arrays.
 
 lemma_l1_check reconstructs the sharp product of holomorphic f, g through
 the inverse Fourier transform route: with Q(z, w) = f(z) * g-reflected(w),
@@ -17,10 +18,16 @@ pi^{-n} * integral of exp(i Re(z . conj(zeta))), whose inverse is
 (4 pi)^{-n} * integral of exp(-i Re(z . conj(zeta))); the discrete version
 is a plain midpoint sum over a square grid.  Defaults (half-width 8, 256
 points per axis at n = 1) keep the discretization error below the 1e-3 /
-1e-4 tolerances the verification suites use.
+1e-4 tolerances the verification suites use.  The 2-D transform is
+phase @ samples @ phase.T with phase of shape M x N (kept frequencies by
+grid points), so that the left operand of each product is C-contiguous;
+written with a transposed N x M phase on the left, the same products in
+the same order give the same bits.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
@@ -64,6 +71,15 @@ def _check_params(s: Symbol, bound: float) -> None:
             )
 
 
+@lru_cache(maxsize=None)
+def _rule(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """The Gauss-Hermite nodes and weights of an order, read-only since they are shared."""
+    x, w = hermgauss(order)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
 def quad_integral(s: Symbol, order: int | None = None) -> complex:
     """Gauss-Hermite approximation of the Gaussian integral of a symbol."""
     n = s.n
@@ -75,7 +91,7 @@ def quad_integral(s: Symbol, order: int | None = None) -> complex:
         raise ValueError("quadrature order must be between 1 and 64")
     _check_params(s, PARAM_BOUND)
 
-    x, w = hermgauss(order)
+    x, w = _rule(order)
     if n == 1:
         z = x[:, None] + 1j * x[None, :]
         vals = _eval_on_arrays(s, [z])
@@ -135,8 +151,8 @@ def lemma_l1_check(
 
     inner = np.abs(x) <= L / 4.0
     xi = x[inner]
-    phase = np.exp(-1j * np.outer(x, xi))  # N x M, shared by both real axes
-    transform = phase.T @ samples @ phase * (h * h / (4.0 * np.pi))
+    phase = np.exp(-1j * np.outer(xi, x))  # M x N, shared by both real axes
+    transform = phase @ samples @ phase.T * (h * h / (4.0 * np.pi))
 
     zeta = xi[:, None] + 1j * xi[None, :]
     numeric = np.exp(np.abs(zeta) ** 2) * transform

@@ -35,7 +35,7 @@ def sharp(f: Symbol, g: Symbol) -> Symbol:
         raise ValueError(f"dimension mismatch: {f.n} vs {g.n}")
     if not (f.is_holomorphic and g.is_holomorphic):
         raise ValueError("sharp is defined for holomorphic symbols only")
-    raw = []
+    items = []
     for gt in g.terms:
         gamma = gt.coef.conjugate()
         q = tuple(x.conjugate() for x in gt.c)
@@ -48,5 +48,5 @@ def sharp(f: Symbol, g: Symbol) -> Symbol:
                     weight = (-1) ** (ik - l) * math.comb(ik, l)
                     _derivative_at(fk, ak, ck, ik - l, sk, weight, l)
                 factors.append(fk)
-            _expand(raw, gamma * ft.coef * _exp_factor(mq, ft.c), factors, ft.c, q)
-    return Symbol(f.n, raw)
+            _expand(items, gamma * ft.coef * _exp_factor(mq, ft.c), factors, ft.c, q)
+    return Symbol._of(f.n, items)

@@ -28,10 +28,15 @@ small a term is next to the others.  Terms are ordered graded-lex on
 zero symbol is the empty term list.  A coefficient that is not finite, or
 whose modulus overflows, raises ValueError.
 
-Operations that build a result from many raw terms work on term maps
-{(a, b, c, d): coef}, which merge equal keys as they go, and canonicalize
-once at the end.  `_product` is the one product rule: Symbol.__mul__ and the
-text parser in `dsl` both use it.
+The package's own operations build no SymbolTerm for a raw term.  They
+produce items ((a, b, c, d), coef), directly or from term maps
+{(a, b, c, d): coef} that merge equal keys as they go, and hand them once
+to the private constructor Symbol._of, which canonicalizes them.  The
+public constructor Symbol(n, terms) checks the dimension of each term,
+turns it into an item and takes the same path.  `_product` is the one
+product rule: Symbol.__mul__ and the text parser in `dsl` both use it.
+relative_residual merges the negated reference into the term map of the
+other symbol instead of building the difference symbol.
 
 Only this closed class is representable: no power series, no essential
 singularities.  General symbols of at-most-Gaussian growth exist beyond it,
@@ -174,35 +179,41 @@ def _keyed(n: int, raw: Iterable[SymbolTerm]):
         yield (t.a, t.b, t.c, t.d), complex(t.coef)
 
 
-def _canonicalize(n: int, raw: Iterable[SymbolTerm]) -> tuple[SymbolTerm, ...]:
-    raw = list(raw)
+def _canonical_order(m: dict) -> list[tuple]:
+    """The keys of the term map m whose coefficient is nonzero, in canonical order."""
+    by_ab: dict[tuple, list[tuple]] = {}
+    for key, x in m.items():
+        if x:
+            by_ab.setdefault(key[:2], []).append(key)
+    out = []
+    for ab in sorted(by_ab, key=_ab_sort_key, reverse=True):
+        keys = by_ab[ab]
+        if len(keys) > 1:  # sort each monomial's keys on their own
+            keys.sort(key=_param_sort_key)
+        out += keys
+    return out
+
+
+def _canonicalize(n: int, items: list[tuple]) -> tuple[SymbolTerm, ...]:
+    """The canonical terms of the items [((a, b, c, d), coef)] on C^n."""
     mass: dict[tuple, float] = {}
-    merged = _merge({}, mass, _keyed(n, raw))
+    merged = _merge({}, mass, items)
 
     # Snap once per distinct nonzero parameter vector; derived ones are on the
-    # grid already.  If one moved, merge the raw terms again on snapped keys.
+    # grid already.  If one moved, merge the items again on snapped keys.
     moved = {}
     for v in {key[2] for key in merged} | {key[3] for key in merged}:
         if any(v) and _snap(v) != v:
             moved[v] = _snap(v)
     if moved:
         get = moved.get
-        items = (((t.a, t.b, get(t.c, t.c), get(t.d, t.d)), complex(t.coef)) for t in raw)
         mass = {}
-        merged = _merge({}, mass, items)
+        merged = _merge(
+            {}, mass, (((a, b, get(c, c), get(d, d)), x) for (a, b, c, d), x in items)
+        )
 
-    # check, drop noise and zeros, and sort each monomial's keys on their own
-    by_ab: dict[tuple, list[tuple]] = {}
-    for key, x in _drop_noise(_checked(merged), mass).items():
-        if x:
-            by_ab.setdefault(key[:2], []).append(key)
-    out = []
-    for ab in sorted(by_ab, key=_ab_sort_key, reverse=True):
-        keys = by_ab[ab]
-        if len(keys) > 1:
-            keys.sort(key=_param_sort_key)
-        out += [SymbolTerm(merged[key], *key) for key in keys]
-    return tuple(out)
+    merged = _drop_noise(_checked(merged), mass)
+    return tuple([SymbolTerm(merged[key], *key) for key in _canonical_order(merged)])
 
 
 class Symbol:
@@ -218,7 +229,16 @@ class Symbol:
         if n < 1:
             raise ValueError("dimension must be >= 1")
         object.__setattr__(self, "n", int(n))
-        object.__setattr__(self, "terms", _canonicalize(int(n), terms))
+        object.__setattr__(self, "terms", _canonicalize(int(n), list(_keyed(int(n), terms))))
+
+    @classmethod
+    def _of(cls, n: int, items: list[tuple]) -> "Symbol":
+        """The canonical symbol of the items [((a, b, c, d), coef)] on C^n; for the
+        package's own results, whose keys have length n and coefficients are complex."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "terms", _canonicalize(n, items))
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("Symbol is immutable")
@@ -262,7 +282,8 @@ class Symbol:
         if not isinstance(other, Symbol):
             return NotImplemented
         self._check_dim(other)
-        return Symbol(self.n, self.terms + other.terms)
+        items = [((t.a, t.b, t.c, t.d), t.coef) for t in self.terms + other.terms]
+        return Symbol._of(self.n, items)
 
     __radd__ = __add__
 
@@ -281,10 +302,7 @@ class Symbol:
 
     def scale(self, factor: complex) -> "Symbol":
         factor = complex(factor)
-        return Symbol(
-            self.n,
-            (SymbolTerm(t.coef * factor, t.a, t.b, t.c, t.d) for t in self.terms),
-        )
+        return Symbol._of(self.n, [((t.a, t.b, t.c, t.d), t.coef * factor) for t in self.terms])
 
     def __mul__(self, other):
         if isinstance(other, (int, float, complex)):
@@ -292,7 +310,8 @@ class Symbol:
         if not isinstance(other, Symbol):
             return NotImplemented
         self._check_dim(other)
-        return Symbol(self.n, _terms(_product(_term_map(self.terms), _term_map(other.terms))))
+        m = _product(_term_map(self.terms), _term_map(other.terms))
+        return Symbol._of(self.n, list(m.items()))
 
     def __rmul__(self, other):
         if isinstance(other, (int, float, complex)):
@@ -311,7 +330,7 @@ class Symbol:
 
     def conj(self) -> "Symbol":
         """Pointwise complex conjugate: (coef,a,b,c,d) -> (coef*,b,a,d*,c*)."""
-        return Symbol(self.n, _terms(_conj(_term_map(self.terms))))
+        return Symbol._of(self.n, list(_conj(_term_map(self.terms)).items()))
 
     def shift(self, eta) -> "Symbol":
         """Argument shift z |-> z - eta for holomorphic symbols.
@@ -324,7 +343,7 @@ class Symbol:
         eta = _as_cvector(eta, self.n)
         zero = (0,) * self.n
         czero = (0j,) * self.n
-        raw = []
+        items = []
         for t in self.terms:
             base = t.coef * _exp_factor(tuple(-e for e in eta), t.c)
             # expand prod_k (z_k - eta_k)^{a_k}
@@ -342,24 +361,23 @@ class Symbol:
                         e2[k] = j
                         nxt.append((w, tuple(e2)))
                 expansion = nxt
-            for coef, expo in expansion:
-                raw.append(SymbolTerm(coef, expo, zero, t.c, czero))
-        return Symbol(self.n, raw)
+            items += [((expo, zero, t.c, czero), coef) for coef, expo in expansion]
+        return Symbol._of(self.n, items)
 
     def dz(self, k: int) -> "Symbol":
         """Wirtinger derivative d/dz_k (1-based k); conj(z) is a constant."""
         if not 1 <= k <= self.n:
             raise ValueError(f"coordinate index {k} out of range 1..{self.n}")
         i = k - 1
-        raw = []
+        items = []
         for t in self.terms:
             if t.a[i] > 0:
                 a2 = list(t.a)
                 a2[i] -= 1
-                raw.append(SymbolTerm(t.coef * t.a[i], tuple(a2), t.b, t.c, t.d))
+                items.append(((tuple(a2), t.b, t.c, t.d), t.coef * t.a[i]))
             if t.c[i] != 0:
-                raw.append(SymbolTerm(t.coef * t.c[i], t.a, t.b, t.c, t.d))
-        return Symbol(self.n, raw)
+                items.append(((t.a, t.b, t.c, t.d), t.coef * t.c[i]))
+        return Symbol._of(self.n, items)
 
     # -- evaluation and size ---------------------------------------------------
 
@@ -415,10 +433,6 @@ class Symbol:
 
 def _term_map(terms: Iterable[SymbolTerm]) -> dict:
     return {(t.a, t.b, t.c, t.d): t.coef for t in terms}
-
-
-def _terms(m: dict) -> list[SymbolTerm]:
-    return [SymbolTerm(x, *key) for key, x in m.items()]
 
 
 def _product(s: dict, t: dict) -> dict:
@@ -519,17 +533,26 @@ def _derivative_at(out: dict, m: int, e: complex, p: int, s: complex, weight=1, 
     return out
 
 
-def _expand(raw: list, coef: complex, factors: list[dict], c, d) -> None:
-    """Append coef * prod_k factors[k] * exp(z.c + conj(z).d) to raw.
+def _expand(items: list, coef: complex, factors: list[dict], c, d) -> None:
+    """Append the items of coef * prod_k factors[k] * exp(z.c + conj(z).d) to items.
 
     factors[k] maps (a_k, b_k) to the coefficient of z_k^a_k conj(z_k)^b_k.
     """
     acc = [(coef, (), ())]
     for f in factors:
         acc = [(w * x, a + (i,), b + (j,)) for w, a, b in acc for (i, j), x in f.items()]
-    raw.extend([SymbolTerm(w, a, b, c, d) for w, a, b in acc])
+    items += [((a, b, c, d), w) for w, a, b in acc]
 
 
 def relative_residual(s: Symbol, ref: Symbol) -> float:
-    """Coefficient-norm of (s - ref), relative to max(1, coefficient-norm of ref)."""
-    return (s - ref).coeff_norm() / max(1.0, ref.coeff_norm())
+    """Coefficient-norm of (s - ref), relative to max(1, coefficient-norm of ref).
+
+    The difference is a term map, summed in canonical order: the same bits as
+    through the symbol s - ref, and ValueError if a coefficient overflows.
+    """
+    s._check_dim(ref)
+    mass: dict = {}
+    diff = _merge(_term_map(s.terms), mass, [((t.a, t.b, t.c, t.d), -t.coef) for t in ref.terms])
+    diff = _drop_noise(_checked(diff), mass)
+    norm = math.sqrt(sum(abs(diff[key]) ** 2 for key in _canonical_order(diff)))
+    return norm / max(1.0, ref.coeff_norm())

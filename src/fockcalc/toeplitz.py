@@ -38,7 +38,7 @@ def toeplitz_apply(phi: Symbol, u: Symbol) -> Symbol:
     if not u.is_holomorphic:
         raise ValueError("toeplitz_apply acts on holomorphic symbols only")
     czero = (0j,) * phi.n
-    raw = []
+    items = []
     for t in phi.terms:
         for s in u.terms:
             e = tuple(x + y for x, y in zip(t.c, s.c))
@@ -46,8 +46,8 @@ def toeplitz_apply(phi: Symbol, u: Symbol) -> Symbol:
                 _derivative_at({}, ak + sk, ek, bk, dk)
                 for ak, sk, ek, bk, dk in zip(t.a, s.a, e, t.b, t.d)
             ]
-            _expand(raw, t.coef * s.coef * _exp_factor(t.d, e), factors, e, czero)
-    out = Symbol(phi.n, raw)
+            _expand(items, t.coef * s.coef * _exp_factor(t.d, e), factors, e, czero)
+    out = Symbol._of(phi.n, items)
     if not out.is_holomorphic:
         raise ValueError("toeplitz_apply produced a non-holomorphic result")
     return out

@@ -103,10 +103,18 @@ def test_parameter_overflow_rejected():
             parse_symbol(text, 1)
         assert err.value.position == pos, text
     assert parse_symbol("exp(4096*z1 - 4096i*conj(z1))", 1).terms[0].c == (4096,)
-    # a product whose parameters leave the range raises when the result is built
-    for text in ("exp(3000*z1)^2", "exp(3000*conj(z1))*exp(3000*conj(z1))"):
-        with pytest.raises(ValueError, match="exponential parameter"):
+    # a product whose parameters leave the range is a syntax error at its operator,
+    # before a later product can add parameters above 2^13, where sums are inexact
+    e, m = "exp(3740.3862791*z1)", "exp(-3740.3862791*z1)"
+    for text, pos in (
+        ("exp(3000*z1)^2", 12),
+        ("exp(3000*conj(z1))*exp(3000*conj(z1))", 18),
+        ("*".join([e] * 3 + [m] * 3), len(e)),
+    ):
+        with pytest.raises(SymbolSyntaxError, match="exponential parameter") as err:
             parse_symbol(text, 1)
+        assert err.value.position == pos, text
+    assert parse_symbol(f"exp(2000*z1)^2*{m}*exp(3740.3862791*z1)", 1).terms[0].c == (4000,)
     with pytest.raises(ValueError, match="finite"):
         exponential(1, c=[float("nan")])
     with pytest.raises(ValueError, match="finite"):

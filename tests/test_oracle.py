@@ -1,10 +1,14 @@
 import cmath
 import random
 
+import numpy as np
 import pytest
+from numpy.polynomial.hermite import hermgauss
 
+from fockcalc import oracle
 from fockcalc.gaussian import gaussian_moment
 from fockcalc.oracle import lemma_l1_check, quad_integral
+from fockcalc.sharp import sharp
 from fockcalc.suites import unit_disc
 from fockcalc.symbols import constant, coordinate, exponential, monomial
 
@@ -62,7 +66,47 @@ def test_quad_matches_closed_form():
     assert worst < 1e-6
 
 
+def test_quadrature_rules_are_cached_read_only_copies_of_hermgauss():
+    for order in (1, 24, 40, 60, 64):
+        x, w = oracle._rule(order)
+        assert oracle._rule(order)[0] is x and oracle._rule(order)[1] is w
+        assert not x.flags.writeable and not w.flags.writeable
+        with pytest.raises(ValueError):
+            x[0] = 0.0
+        rx, rw = hermgauss(order)
+        assert np.array_equal(x, rx) and np.array_equal(w, rw)
+
+
 # -- Fourier-route reconstruction ----------------------------------------------
+
+
+def _lemma_l1_reference(f, g, grid_half_width=8.0, grid_points=256):
+    """lemma_l1_check with the transform written as phase.T @ samples @ phase
+    for an N x M phase: the same products, the left operands transposed."""
+    L, N = grid_half_width, grid_points
+    h = 2.0 * L / N
+    x = -L + (np.arange(N) + 0.5) * h
+    z = x[:, None] + 1j * x[None, :]
+    samples = (
+        np.exp(-np.abs(z) ** 2 / 4.0)
+        * oracle._eval_on_arrays(f, [0.5j * z])
+        * np.conj(oracle._eval_on_arrays(g, [-0.5j * z]))
+    )
+    xi = x[np.abs(x) <= L / 4.0]
+    phase = np.exp(-1j * np.outer(x, xi))
+    transform = phase.T @ samples @ phase * (h * h / (4.0 * np.pi))
+    zeta = xi[:, None] + 1j * xi[None, :]
+    numeric = np.exp(np.abs(zeta) ** 2) * transform
+    exact = oracle._eval_on_arrays(sharp(f, g), [zeta])
+    return float(np.max(np.abs(numeric - exact)[np.abs(zeta) <= L / 4.0]))
+
+
+def test_fourier_transform_matches_the_transposed_formula_exactly():
+    # the three inputs of the lemma-l1 suite
+    for f, g in ((ONE, ONE), (Z, Z), (exponential(1, c=[1]), Z)):
+        assert lemma_l1_check(f, g) == _lemma_l1_reference(f, g)
+
+
 
 
 def test_fourier_constant_pair():

@@ -244,8 +244,53 @@ _MOVED_NOISE = [term(x, (0,), c=(0.6e-9,)) for x in (1, -1 + 1e-13)]
 @example((1, _MOVED_NOISE + [term(1e-13, (0,), c=(660 * PARAM_STEP,))]))
 def test_canon_matches_sort_twice_reference_exactly(case):
     n, raw = case
-    got = [repr(t) for t in _canonicalize(n, raw)]
+    items = [((t.a, t.b, t.c, t.d), t.coef) for t in raw]
+    got = [repr(t) for t in _canonicalize(n, items)]
     assert got == [repr(t) for t in _reference_canonicalize(n, raw)]
+
+
+# -- relative residual against the symbol difference --------------------------------
+
+
+def _reference_residual(s, ref):
+    return (s - ref).coeff_norm() / max(1.0, ref.coeff_norm())
+
+
+@st.composite
+def _residual_pairs(draw):
+    """(s, ref) sharing keys: split from one raw list, equal, or equal up to a
+    relative change on both sides of the floor."""
+    n, raw = draw(_raw_terms())
+    k = draw(st.integers(0, len(raw)))
+    s = Symbol(n, raw[:k])
+    kind = draw(st.sampled_from(["split", "same", "near"]))
+    if kind == "split":
+        return s, Symbol(n, raw[k:])
+    if kind == "same":
+        return s, Symbol(n, s.terms)
+    eps = draw(st.sampled_from([1e-13, -1e-13, 5e-13, 1e-12, 2e-12, 1e-9]))
+    return s, s.scale(1 + eps)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_residual_pairs())
+@example((Z + 1, Z + 1))
+@example((Z * (1 + 1e-12) + 1, Z + 1 + 1e-13))
+# canonical order sums the squares as (1.574^2 + 2.357^2) + 1.611^2; the
+# order of the merged map, (1.574^2 + 1.611^2) + 2.357^2, rounds differently
+@example((constant(1, 1.574) + monomial(1, (2,), coef=1.611), monomial(1, (1,), coef=2.357)))
+def test_relative_residual_equals_the_norm_of_the_difference_exactly(pair):
+    s, ref = pair
+    assert relative_residual(s, ref) == _reference_residual(s, ref)
+
+
+def test_relative_residual_rejects_an_overflowing_difference():
+    s, ref = constant(1, 1e308), constant(1, -1e308)
+    for compute in (relative_residual, _reference_residual):
+        with pytest.raises(ValueError, match="non-finite coefficient"):
+            compute(s, ref)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        relative_residual(Z, constant(2, 1))
 
 
 # -- laws on canonical keys ------------------------------------------------------------
@@ -294,6 +339,14 @@ def test_add_and_mul_are_associative_and_commutative_on_keys(triple):
     _same_keys_close_coefs((s + t) + u, s + (t + u))
     _same_keys_close_coefs(s * t, t * s)
     _same_keys_close_coefs((s * t) * u, s * (t * u))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_symbol_triples)
+def test_mul_distributes_over_add(triple):
+    s, t, u = triple
+    assert relative_residual((s + t) * u, s * u + t * u) <= 1e-12
+    assert relative_residual(u * (s + t), u * s + u * t) <= 1e-12
 
 
 @settings(max_examples=100, deadline=None)

@@ -5,6 +5,8 @@ products, repeated dz, shift, scale and a sum per term, with every
 intermediate canonicalized.  The package expands each closed rule directly
 and canonicalizes once, so the two may differ in rounding and in which
 near-floor terms an intermediate drops, but never in the canonical keys.
+The last test checks the linearity laws of the closed rules on the same
+symbols: berezin is linear, sharp is linear in f and conjugate-linear in g.
 """
 
 import cmath
@@ -17,7 +19,7 @@ from hypothesis import strategies as st
 from fockcalc.berezin import berezin
 from fockcalc.indices import mi_binomial, mi_order
 from fockcalc.sharp import sharp
-from fockcalc.symbols import Symbol, SymbolTerm, constant, exponential, monomial
+from fockcalc.symbols import Symbol, SymbolTerm, constant, exponential, monomial, relative_residual
 from fockcalc.toeplitz import toeplitz_apply
 
 
@@ -156,3 +158,24 @@ def test_closed_rules_match_step_by_step_compositions(case):
     assert_same_symbol(toeplitz_apply(phi, f), reference_toeplitz_apply(phi, f))
     assert_same_symbol(sharp(f, g), reference_sharp(f, g))
     assert_same_symbol(berezin(phi), reference_berezin(phi))
+
+
+@st.composite
+def _linear_case(draw):
+    n = draw(st.integers(1, 3))
+    mixed = [draw(_symbol(n, False)) for _ in range(2)]
+    holo = [draw(_symbol(n, True)) for _ in range(4)]
+    return mixed, holo, draw(_coefs), draw(_coefs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_linear_case())
+def test_berezin_is_linear_and_sharp_is_sesquilinear(case):
+    (s, t), (f1, f2, g1, g2), alpha, beta = case
+    lhs = berezin(s.scale(alpha) + t.scale(beta))
+    assert relative_residual(lhs, berezin(s).scale(alpha) + berezin(t).scale(beta)) <= 1e-12
+    lhs = sharp(f1.scale(alpha) + f2.scale(beta), g1)
+    assert relative_residual(lhs, sharp(f1, g1).scale(alpha) + sharp(f2, g1).scale(beta)) <= 1e-12
+    lhs = sharp(f1, g1.scale(alpha) + g2.scale(beta))
+    rhs = sharp(f1, g1).scale(alpha.conjugate()) + sharp(f1, g2).scale(beta.conjugate())
+    assert relative_residual(lhs, rhs) <= 1e-12

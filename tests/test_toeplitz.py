@@ -133,8 +133,9 @@ def test_guards():
 
 def test_non_holomorphic_result_raises(monkeypatch):
     # a broken step must fail with an error that survives `python -O`
+    conj_z = (((0,), (1,), (0j,), (0j,)), 1 + 0j)
     monkeypatch.setattr(
-        toeplitz_module, "_expand", lambda raw, coef, factors, c, d: raw.extend(Z.conj().terms)
+        toeplitz_module, "_expand", lambda items, coef, factors, c, d: items.append(conj_z)
     )
     phi = exponential(1, d=(0.5,))
     with pytest.raises(ValueError, match="non-holomorphic"):
