@@ -30,17 +30,17 @@ from .toeplitz import OpChain
 def berezin(s: Symbol) -> Symbol:
     """Berezin transform of a symbol, returned as a symbol in the same class."""
     items = []
-    for t in s.terms:
+    for (a, b, c, d), x in s._map.items():
         factors = []
-        for ak, bk, ck, dk in zip(t.a, t.b, t.c, t.d):
+        for ak, bk, ck, dk in zip(a, b, c, d):
             fk = {}
             for j in range(min(ak, bk) + 1):
                 w = math.comb(ak, j) * math.comb(bk, j) * math.factorial(j)
-                for i, x in _binomial(ak - j, dk):
-                    for l, y in _binomial(bk - j, ck):
-                        fk[i, l] = fk.get((i, l), 0) + w * x * y
+                for i, p in _binomial(ak - j, dk):
+                    for l, q in _binomial(bk - j, ck):
+                        fk[i, l] = fk.get((i, l), 0) + w * p * q
             factors.append(fk)
-        _expand(items, t.coef * _exp_factor(t.c, t.d), factors, t.c, t.d)
+        _expand(items, x * _exp_factor(c, d), factors, c, d)
     return Symbol._of(s.n, items)
 
 

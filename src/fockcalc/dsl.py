@@ -188,25 +188,21 @@ class _Parser:
     def _constant(self, value: complex) -> dict:
         return {(self.zero, self.zero, self.czero, self.czero): complex(value)}
 
-    def _snapped(self, v, pos: int):
-        """The parameter vector v on the grid; SymbolSyntaxError at pos for a part out of range."""
-        try:
-            return _snap(v)
-        except ValueError as exc:
-            raise SymbolSyntaxError(str(exc), pos) from None
-
     def _exponential(self, c, d, coef: complex, pos: int) -> dict:
         """coef * exp(z.c + conj(z).d); SymbolSyntaxError at pos for a parameter out of range."""
-        return {(self.zero, self.zero, self._snapped(c, pos), self._snapped(d, pos)): coef}
+        try:
+            return {(self.zero, self.zero, _snap(c), _snap(d)): coef}
+        except ValueError as exc:
+            raise SymbolSyntaxError(str(exc), pos) from None
 
     def _mul(self, s: dict, t: dict, pos: int) -> dict:
         """The product s * t; SymbolSyntaxError at pos, the operator's position, for a
         parameter part out of range, so that every later sum of parameters stays exact."""
-        out = _checked(_product(s, t))
-        for v in {key[2] for key in out} | {key[3] for key in out}:
-            if any(v):
-                self._snapped(v, pos)
-        return out
+        try:
+            out = _product(s, t)
+        except ValueError as exc:
+            raise SymbolSyntaxError(str(exc), pos) from None
+        return _checked(out)
 
     def _const_arg(self) -> complex:
         tok = self.peek()
@@ -220,16 +216,17 @@ class _Parser:
         const = 0j
         c = [0j] * self.n
         d = [0j] * self.n
-        for t in arg.terms:
-            if any(x != 0 for x in t.c) or any(x != 0 for x in t.d):
+        for (a, b, ec, ed), x in arg._map.items():
+            if any(ec) or any(ed):
                 raise SymbolSyntaxError("exp argument must not contain exp", pos)
-            if t.degree == 0:
-                const += t.coef
-            elif t.degree == 1:
-                if sum(t.a) == 1:
-                    c[t.a.index(1)] += t.coef
+            degree = sum(a) + sum(b)
+            if degree == 0:
+                const += x
+            elif degree == 1:
+                if sum(a) == 1:
+                    c[a.index(1)] += x
                 else:
-                    d[t.b.index(1)] += t.coef
+                    d[b.index(1)] += x
             else:
                 raise SymbolSyntaxError(
                     "exp argument must be affine in the coordinates", pos
@@ -325,28 +322,24 @@ def format_symbol(s: Symbol) -> str:
         return "0"
     exps: dict = {}  # (c, d) -> its rendered exp(...) factor, "" when both vanish
     parts = []
-    for t in s.terms:
+    for (a, b, c, d), coef in s._map.items():
         factors = []
-        for k, e in enumerate(t.a):
+        for k, e in enumerate(a):
             if e == 1:
                 factors.append(f"z{k + 1}")
             elif e > 1:
                 factors.append(f"z{k + 1}^{e}")
-        for k, e in enumerate(t.b):
+        for k, e in enumerate(b):
             if e == 1:
                 factors.append(f"conj(z{k + 1})")
             elif e > 1:
                 factors.append(f"conj(z{k + 1})^{e}")
-        e = exps.get((t.c, t.d))
+        e = exps.get((c, d))
         if e is None:
-            e = exps[t.c, t.d] = (
-                f"exp({_fmt_linear(t.c, t.d)})"
-                if any(x != 0 for x in t.c) or any(x != 0 for x in t.d)
-                else ""
-            )
+            e = exps[c, d] = f"exp({_fmt_linear(c, d)})" if any(c) or any(d) else ""
         if e:
             factors.append(e)
-        parts.append(_fmt_product(t.coef, "*".join(factors)))
+        parts.append(_fmt_product(coef, "*".join(factors)))
     return _join_sum(parts)
 
 

@@ -55,9 +55,7 @@ def gaussian_moment(a, b, lam=None, mu=None) -> complex:
 
 def symbol_integral(s: Symbol) -> complex:
     """Exact Gaussian integral of a symbol (termwise moments)."""
-    return sum(
-        (t.coef * gaussian_moment(t.a, t.b, t.c, t.d) for t in s.terms), 0j
-    )
+    return sum((x * gaussian_moment(*key) for key, x in s._map.items()), 0j)
 
 
 def fock_inner(f: Symbol, g: Symbol) -> complex:
@@ -67,11 +65,7 @@ def fock_inner(f: Symbol, g: Symbol) -> complex:
     if not (f.is_holomorphic and g.is_holomorphic):
         raise ValueError("fock_inner is defined for holomorphic symbols only")
     total = 0j
-    for s in f.terms:
-        for t in g.terms:
-            total += (
-                s.coef
-                * t.coef.conjugate()
-                * gaussian_moment(s.a, t.a, s.c, tuple(x.conjugate() for x in t.c))
-            )
+    for (a, _, c, _), x in f._map.items():
+        for (a2, _, c2, _), y in g._map.items():
+            total += x * y.conjugate() * gaussian_moment(a, a2, c, tuple(v.conjugate() for v in c2))
     return total

@@ -44,19 +44,19 @@ def _eval_on_arrays(s: Symbol, coords: list[np.ndarray]) -> np.ndarray:
     """Vectorized symbol evaluation; coords holds one broadcastable array per z_k."""
     conj = [np.conj(z) for z in coords]
     total = np.zeros(np.broadcast(*coords).shape, dtype=complex)
-    for t in s.terms:
-        v = np.full(total.shape, t.coef, dtype=complex)
+    for (a, b, c, d), x in s._map.items():
+        v = np.full(total.shape, x, dtype=complex)
         for k in range(s.n):
-            if t.a[k]:
-                v = v * coords[k] ** t.a[k]
-            if t.b[k]:
-                v = v * conj[k] ** t.b[k]
+            if a[k]:
+                v = v * coords[k] ** a[k]
+            if b[k]:
+                v = v * conj[k] ** b[k]
         ex = 0
         for k in range(s.n):
-            if t.c[k] != 0:
-                ex = ex + coords[k] * t.c[k]
-            if t.d[k] != 0:
-                ex = ex + conj[k] * t.d[k]
+            if c[k] != 0:
+                ex = ex + coords[k] * c[k]
+            if d[k] != 0:
+                ex = ex + conj[k] * d[k]
         if not np.isscalar(ex) or ex != 0:
             v = v * np.exp(ex)
         total = total + v
@@ -64,8 +64,8 @@ def _eval_on_arrays(s: Symbol, coords: list[np.ndarray]) -> np.ndarray:
 
 
 def _check_params(s: Symbol, bound: float) -> None:
-    for t in s.terms:
-        if any(abs(x) > bound for x in t.c) or any(abs(x) > bound for x in t.d):
+    for _, _, c, d in s._map:
+        if any(abs(x) > bound for x in c) or any(abs(x) > bound for x in d):
             raise ValueError(
                 f"exponential parameter modulus above {bound}; quadrature not dominated"
             )

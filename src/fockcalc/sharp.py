@@ -36,17 +36,17 @@ def sharp(f: Symbol, g: Symbol) -> Symbol:
     if not (f.is_holomorphic and g.is_holomorphic):
         raise ValueError("sharp is defined for holomorphic symbols only")
     items = []
-    for gt in g.terms:
-        gamma = gt.coef.conjugate()
-        q = tuple(x.conjugate() for x in gt.c)
+    for (ga, _, gc, _), gcoef in g._map.items():
+        gamma = gcoef.conjugate()
+        q = tuple(x.conjugate() for x in gc)
         mq = tuple(-x for x in q)
-        for ft in f.terms:
+        for (fa, _, fc, _), fcoef in f._map.items():
             factors = []
-            for ik, ak, ck, sk in zip(gt.a, ft.a, ft.c, mq):
+            for ik, ak, ck, sk in zip(ga, fa, fc, mq):
                 fk = {}
                 for l in range(ik + 1):
                     weight = (-1) ** (ik - l) * math.comb(ik, l)
                     _derivative_at(fk, ak, ck, ik - l, sk, weight, l)
                 factors.append(fk)
-            _expand(items, gamma * ft.coef * _exp_factor(mq, ft.c), factors, ft.c, q)
+            _expand(items, gamma * fcoef * _exp_factor(mq, fc), factors, fc, q)
     return Symbol._of(f.n, items)

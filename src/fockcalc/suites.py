@@ -410,7 +410,7 @@ def _commutator_families(cfg: SuiteConfig):
 def _random_poly_in_z1(rng: random.Random, n: int) -> Symbol:
     while True:
         p = random_polynomial(rng, n, 3, radius=CHAIN_COEF_RADIUS, min_degree=1)
-        if any(t.a[0] >= 1 for t in p.terms):
+        if any(a[0] >= 1 for a, _, _, _ in p._map):
             return p
 
 

@@ -15,28 +15,28 @@ Holomorphic symbols are plain Symbols whose terms all have b = 0 and d = 0
 it at runtime.
 
 Canonical form: each real and imaginary part of an exponential parameter
-is rounded to the nearest multiple of PARAM_STEP = 2^-40; a part that is
-not finite or exceeds PARAM_MAX = 2^12 in magnitude raises ValueError.
-Below 2^13, sums, negations and conjugates of grid values are exact in
-float64, so every parameter derived from canonical symbols is on the grid
-already and term keys (a, b, c, d) compare exactly with ==.  Terms with
-equal keys merge.  A merged coefficient is dropped when it is 0, or when
-two or more summands met at its key and its modulus is at most COEF_FLOOR
-= 1e-12 times the sum of theirs: only cancellation noise goes, however
-small a term is next to the others.  Terms are ordered graded-lex on
-(a, b), then lexicographically on the real/imaginary parts of (c, d); the
-zero symbol is the empty term list.  A coefficient that is not finite, or
-whose modulus overflows, raises ValueError.
+is a multiple of PARAM_STEP = 2^-40 of magnitude at most PARAM_MAX = 2^12,
+so term keys (a, b, c, d) compare exactly with ==.  Parameters are snapped
+to this grid only where they enter: in Symbol(n, terms), which keeps a
+vector already on the grid as it is (a -0.0 stays), in the exp and K of
+the parser, and in gaussian_moment; a part that is not finite or out of
+range raises ValueError.  Inside, parameters are only added, negated and
+conjugated, which is exact below 2^13, so only the two rules that add them
+check the range: `_product` and the t.c + s.c of toeplitz_apply.  Terms
+with equal keys merge.  A merged coefficient is dropped when it is 0, or
+when two or more summands met at its key and its modulus is at most
+COEF_FLOOR = 1e-12 times the sum of theirs: only cancellation noise goes,
+however small a term is next to the others.  Terms are ordered graded-lex
+on (a, b), then lexicographically on the real/imaginary parts of (c, d);
+the zero symbol has no terms.  A coefficient that is not finite, or whose
+modulus overflows, raises ValueError.
 
-The package's own operations build no SymbolTerm for a raw term.  They
-produce items ((a, b, c, d), coef), directly or from term maps
-{(a, b, c, d): coef} that merge equal keys as they go, and hand them once
-to the private constructor Symbol._of, which canonicalizes them.  The
-public constructor Symbol(n, terms) checks the dimension of each term,
-turns it into an item and takes the same path.  `_product` is the one
-product rule: Symbol.__mul__ and the text parser in `dsl` both use it.
-relative_residual merges the negated reference into the term map of the
-other symbol instead of building the difference symbol.
+A Symbol holds n and its canonical term map {(a, b, c, d): coef}, in
+canonical order; `terms`, the public tuple of SymbolTerm, is built from it
+on each access.  The package's own operations read these maps, hand items
+((a, b, c, d), coef) once to the private constructor Symbol._of, and never
+write a symbol's map.  `_product` is the one product rule, for
+Symbol.__mul__ and for the text parser in `dsl`.
 
 Only this closed class is representable: no power series, no essential
 singularities.  General symbols of at-most-Gaussian growth exist beyond it,
@@ -95,15 +95,23 @@ def _as_cvector(v, n: int) -> ComplexVector:
     return t
 
 
-def _snap_part(x: float) -> float:
-    if not abs(x) <= PARAM_MAX:  # also rejects nan
-        raise ValueError(f"exponential parameter part {x!r} is not finite or above 2^12 in magnitude")
-    return round(x / PARAM_STEP) * PARAM_STEP
+def _in_range(v: ComplexVector) -> ComplexVector:
+    """v; ValueError if a part of it is not finite or above PARAM_MAX in magnitude."""
+    for x in v:
+        for p in (x.real, x.imag):
+            if not abs(p) <= PARAM_MAX:  # also rejects nan
+                raise ValueError(
+                    f"exponential parameter part {p!r} is not finite or above 2^12 in magnitude"
+                )
+    return v
 
 
 def _snap(v: Iterable[complex]) -> ComplexVector:
     """v with each part rounded to the grid; ValueError for a part out of range."""
-    return tuple(complex(_snap_part(x.real), _snap_part(x.imag)) for x in v)
+    return tuple(
+        complex(round(x.real / PARAM_STEP) * PARAM_STEP, round(x.imag / PARAM_STEP) * PARAM_STEP)
+        for x in _in_range(tuple(v))
+    )
 
 
 def _exp_factor(u: ComplexVector, v: ComplexVector) -> complex:
@@ -172,11 +180,18 @@ def _drop_noise(m: dict, mass: dict) -> dict:
     return m
 
 
+def _on_grid(v: ComplexVector) -> ComplexVector:
+    """v if it is on the grid already (a -0.0 stays), else v snapped to it."""
+    w = _snap(v) if any(v) else v
+    return v if w == v else w
+
+
 def _keyed(n: int, raw: Iterable[SymbolTerm]):
+    """The items of the public terms raw, with their parameters on the grid."""
     for t in raw:
         if len(t.a) != n or len(t.b) != n or len(t.c) != n or len(t.d) != n:
             raise ValueError(f"term dimension mismatch (expected n={n}): {t}")
-        yield (t.a, t.b, t.c, t.d), complex(t.coef)
+        yield (t.a, t.b, _on_grid(t.c), _on_grid(t.d)), complex(t.coef)
 
 
 def _canonical_order(m: dict) -> list[tuple]:
@@ -194,26 +209,11 @@ def _canonical_order(m: dict) -> list[tuple]:
     return out
 
 
-def _canonicalize(n: int, items: list[tuple]) -> tuple[SymbolTerm, ...]:
-    """The canonical terms of the items [((a, b, c, d), coef)] on C^n."""
+def _canonicalize(items: list[tuple]) -> dict:
+    """The canonical term map of the items [((a, b, c, d), coef)] with grid parameters."""
     mass: dict[tuple, float] = {}
-    merged = _merge({}, mass, items)
-
-    # Snap once per distinct nonzero parameter vector; derived ones are on the
-    # grid already.  If one moved, merge the items again on snapped keys.
-    moved = {}
-    for v in {key[2] for key in merged} | {key[3] for key in merged}:
-        if any(v) and _snap(v) != v:
-            moved[v] = _snap(v)
-    if moved:
-        get = moved.get
-        mass = {}
-        merged = _merge(
-            {}, mass, (((a, b, get(c, c), get(d, d)), x) for (a, b, c, d), x in items)
-        )
-
-    merged = _drop_noise(_checked(merged), mass)
-    return tuple([SymbolTerm(merged[key], *key) for key in _canonical_order(merged)])
+    merged = _drop_noise(_checked(_merge({}, mass, items)), mass)
+    return {key: merged[key] for key in _canonical_order(merged)}
 
 
 class Symbol:
@@ -223,22 +223,28 @@ class Symbol:
     safe for unrestricted concurrent use.
     """
 
-    __slots__ = ("n", "terms")
+    __slots__ = ("n", "_map")
 
     def __init__(self, n: int, terms: Iterable[SymbolTerm] = ()):
         if n < 1:
             raise ValueError("dimension must be >= 1")
         object.__setattr__(self, "n", int(n))
-        object.__setattr__(self, "terms", _canonicalize(int(n), list(_keyed(int(n), terms))))
+        object.__setattr__(self, "_map", _canonicalize(list(_keyed(int(n), terms))))
 
     @classmethod
     def _of(cls, n: int, items: list[tuple]) -> "Symbol":
         """The canonical symbol of the items [((a, b, c, d), coef)] on C^n; for the
-        package's own results, whose keys have length n and coefficients are complex."""
+        package's own results, whose keys have length n, parameters are on the grid
+        and coefficients are complex."""
         self = object.__new__(cls)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "terms", _canonicalize(n, items))
+        object.__setattr__(self, "_map", _canonicalize(items))
         return self
+
+    @property
+    def terms(self) -> tuple[SymbolTerm, ...]:
+        """The canonical terms, built from the term map on each access."""
+        return tuple([SymbolTerm(x, *key) for key, x in self._map.items()])
 
     def __setattr__(self, name, value):
         raise AttributeError("Symbol is immutable")
@@ -247,28 +253,25 @@ class Symbol:
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._map
 
     @property
     def is_holomorphic(self) -> bool:
-        return all(t.is_holomorphic for t in self.terms)
+        return not any(any(b) or any(d) for _, b, _, d in self._map)
 
     @property
     def is_constant(self) -> bool:
-        return all(
-            t.degree == 0 and all(x == 0 for x in t.c) and all(x == 0 for x in t.d)
-            for t in self.terms
-        )
+        return not any(any(a) or any(b) or any(c) or any(d) for a, b, c, d in self._map)
 
     def degree(self) -> int:
         """Largest total monomial order; -1 for the zero symbol."""
-        return max((t.degree for t in self.terms), default=-1)
+        return max((sum(a) + sum(b) for a, b, _, _ in self._map), default=-1)
 
     def constant_value(self) -> complex:
         """Value of a constant symbol (see is_constant)."""
         if not self.is_constant:
             raise ValueError("symbol is not constant")
-        return sum((t.coef for t in self.terms), 0j)
+        return sum(self._map.values(), 0j)
 
     # -- ring structure ------------------------------------------------------
 
@@ -282,8 +285,7 @@ class Symbol:
         if not isinstance(other, Symbol):
             return NotImplemented
         self._check_dim(other)
-        items = [((t.a, t.b, t.c, t.d), t.coef) for t in self.terms + other.terms]
-        return Symbol._of(self.n, items)
+        return Symbol._of(self.n, [*self._map.items(), *other._map.items()])
 
     __radd__ = __add__
 
@@ -302,7 +304,7 @@ class Symbol:
 
     def scale(self, factor: complex) -> "Symbol":
         factor = complex(factor)
-        return Symbol._of(self.n, [((t.a, t.b, t.c, t.d), t.coef * factor) for t in self.terms])
+        return Symbol._of(self.n, [(key, x * factor) for key, x in self._map.items()])
 
     def __mul__(self, other):
         if isinstance(other, (int, float, complex)):
@@ -310,8 +312,7 @@ class Symbol:
         if not isinstance(other, Symbol):
             return NotImplemented
         self._check_dim(other)
-        m = _product(_term_map(self.terms), _term_map(other.terms))
-        return Symbol._of(self.n, list(m.items()))
+        return Symbol._of(self.n, list(_product(self._map, other._map).items()))
 
     def __rmul__(self, other):
         if isinstance(other, (int, float, complex)):
@@ -330,7 +331,7 @@ class Symbol:
 
     def conj(self) -> "Symbol":
         """Pointwise complex conjugate: (coef,a,b,c,d) -> (coef*,b,a,d*,c*)."""
-        return Symbol._of(self.n, list(_conj(_term_map(self.terms)).items()))
+        return Symbol._of(self.n, list(_conj(self._map).items()))
 
     def shift(self, eta) -> "Symbol":
         """Argument shift z |-> z - eta for holomorphic symbols.
@@ -344,11 +345,11 @@ class Symbol:
         zero = (0,) * self.n
         czero = (0j,) * self.n
         items = []
-        for t in self.terms:
-            base = t.coef * _exp_factor(tuple(-e for e in eta), t.c)
+        for (a, _, c, _), x in self._map.items():
+            base = x * _exp_factor(tuple(-e for e in eta), c)
             # expand prod_k (z_k - eta_k)^{a_k}
             expansion = [(base, zero)]
-            for k, ak in enumerate(t.a):
+            for k, ak in enumerate(a):
                 if ak == 0:
                     continue
                 nxt = []
@@ -361,7 +362,7 @@ class Symbol:
                         e2[k] = j
                         nxt.append((w, tuple(e2)))
                 expansion = nxt
-            items += [((expo, zero, t.c, czero), coef) for coef, expo in expansion]
+            items += [((expo, zero, c, czero), coef) for coef, expo in expansion]
         return Symbol._of(self.n, items)
 
     def dz(self, k: int) -> "Symbol":
@@ -370,13 +371,14 @@ class Symbol:
             raise ValueError(f"coordinate index {k} out of range 1..{self.n}")
         i = k - 1
         items = []
-        for t in self.terms:
-            if t.a[i] > 0:
-                a2 = list(t.a)
+        for key, x in self._map.items():
+            a, b, c, d = key
+            if a[i] > 0:
+                a2 = list(a)
                 a2[i] -= 1
-                items.append(((tuple(a2), t.b, t.c, t.d), t.coef * t.a[i]))
-            if t.c[i] != 0:
-                items.append(((t.a, t.b, t.c, t.d), t.coef * t.c[i]))
+                items.append(((tuple(a2), b, c, d), x * a[i]))
+            if c[i] != 0:
+                items.append((key, x * c[i]))
         return Symbol._of(self.n, items)
 
     # -- evaluation and size ---------------------------------------------------
@@ -386,16 +388,15 @@ class Symbol:
         zeta = _as_cvector(zeta, self.n)
         zbar = tuple(x.conjugate() for x in zeta)
         total = 0j
-        for t in self.terms:
-            v = t.coef
-            for zk, ak in zip(zeta, t.a):
+        for (a, b, c, d), v in self._map.items():
+            for zk, ak in zip(zeta, a):
                 if ak:
                     v *= zk**ak
-            for wk, bk in zip(zbar, t.b):
+            for wk, bk in zip(zbar, b):
                 if bk:
                     v *= wk**bk
-            ex = sum(z * c for z, c in zip(zeta, t.c)) + sum(
-                w * d for w, d in zip(zbar, t.d)
+            ex = sum(z * ck for z, ck in zip(zeta, c)) + sum(
+                w * dk for w, dk in zip(zbar, d)
             )
             if ex != 0:
                 v *= cmath.exp(ex)
@@ -407,20 +408,20 @@ class Symbol:
 
     def coeff_norm(self) -> float:
         """Euclidean norm of the canonical coefficient vector."""
-        return math.sqrt(sum(abs(t.coef) ** 2 for t in self.terms))
+        return math.sqrt(sum(abs(x) ** 2 for x in self._map.values()))
 
     # -- comparison / display ----------------------------------------------------
 
     def __eq__(self, other):
         if not isinstance(other, Symbol):
             return NotImplemented
-        return self.n == other.n and self.terms == other.terms
+        return self.n == other.n and self._map == other._map
 
     def __hash__(self):
-        return hash((self.n, self.terms))
+        return hash((self.n, tuple(self._map.items())))
 
     def __repr__(self):
-        return f"Symbol(n={self.n}, {len(self.terms)} terms)"
+        return f"Symbol(n={self.n}, {len(self._map)} terms)"
 
     def __str__(self):
         from . import dsl  # local import: dsl depends on this module
@@ -431,15 +432,12 @@ class Symbol:
 # -- term maps {(a, b, c, d): coef} ------------------------------------------------
 
 
-def _term_map(terms: Iterable[SymbolTerm]) -> dict:
-    return {(t.a, t.b, t.c, t.d): t.coef for t in terms}
-
-
 def _product(s: dict, t: dict) -> dict:
     """Term map of the product of the term maps s and t, without cancellation noise.
 
     The coefficients of one key add up in the order of the term pairs; grid
-    parameters add exactly below 2^13.  Coefficients are not checked here.
+    parameters add exactly below 2^13, and ValueError is raised for a sum out of
+    range.  Coefficients are not checked here.
     """
     mass: dict = {}
     pairs = (
@@ -455,7 +453,10 @@ def _product(s: dict, t: dict) -> dict:
         for (a, b, c, d), x in s.items()
         for (a2, b2, c2, d2), y in t.items()
     )
-    return _drop_noise(_merge({}, mass, pairs), mass)
+    out = _drop_noise(_merge({}, mass, pairs), mass)
+    for v in {key[2] for key in out} | {key[3] for key in out}:
+        _in_range(v)
+    return out
 
 
 def _conj(m: dict) -> dict:
@@ -552,7 +553,7 @@ def relative_residual(s: Symbol, ref: Symbol) -> float:
     """
     s._check_dim(ref)
     mass: dict = {}
-    diff = _merge(_term_map(s.terms), mass, [((t.a, t.b, t.c, t.d), -t.coef) for t in ref.terms])
+    diff = _merge(dict(s._map), mass, [(key, -x) for key, x in ref._map.items()])
     diff = _drop_noise(_checked(diff), mass)
     norm = math.sqrt(sum(abs(diff[key]) ** 2 for key in _canonical_order(diff)))
     return norm / max(1.0, ref.coeff_norm())

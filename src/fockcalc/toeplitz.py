@@ -28,7 +28,8 @@ from typing import Iterator, Sequence
 
 from .indices import MultiIndex, mi_enumerate, mi_factorial
 from .sharp import sharp
-from .symbols import Symbol, _derivative_at, _exp_factor, _expand, monomial, relative_residual
+from .symbols import Symbol, _derivative_at, _exp_factor, _expand, _in_range, monomial
+from .symbols import relative_residual
 
 
 def toeplitz_apply(phi: Symbol, u: Symbol) -> Symbol:
@@ -39,14 +40,14 @@ def toeplitz_apply(phi: Symbol, u: Symbol) -> Symbol:
         raise ValueError("toeplitz_apply acts on holomorphic symbols only")
     czero = (0j,) * phi.n
     items = []
-    for t in phi.terms:
-        for s in u.terms:
-            e = tuple(x + y for x, y in zip(t.c, s.c))
+    for (a, b, c, d), x in phi._map.items():
+        for (ua, _, uc, _), y in u._map.items():
+            e = tuple(p + q for p, q in zip(c, uc))
             factors = [
                 _derivative_at({}, ak + sk, ek, bk, dk)
-                for ak, sk, ek, bk, dk in zip(t.a, s.a, e, t.b, t.d)
+                for ak, sk, ek, bk, dk in zip(a, ua, e, b, d)
             ]
-            _expand(items, t.coef * s.coef * _exp_factor(t.d, e), factors, e, czero)
+            _expand(items, x * y * _exp_factor(d, e), factors, _in_range(e), czero)
     out = Symbol._of(phi.n, items)
     if not out.is_holomorphic:
         raise ValueError("toeplitz_apply produced a non-holomorphic result")

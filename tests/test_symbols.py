@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fockcalc import berezin, fock_inner, sharp, symbol_integral, toeplitz_apply
 from fockcalc.dsl import SymbolSyntaxError, format_symbol, parse_symbol
 from fockcalc.symbols import (
     COEF_FLOOR,
@@ -22,7 +23,7 @@ from fockcalc.symbols import (
     relative_residual,
     zero,
 )
-from fockcalc.symbols import _canonicalize, _vec_sort_key
+from fockcalc.symbols import _vec_sort_key
 
 Z = coordinate(1, 1)
 
@@ -244,8 +245,7 @@ _MOVED_NOISE = [term(x, (0,), c=(0.6e-9,)) for x in (1, -1 + 1e-13)]
 @example((1, _MOVED_NOISE + [term(1e-13, (0,), c=(660 * PARAM_STEP,))]))
 def test_canon_matches_sort_twice_reference_exactly(case):
     n, raw = case
-    items = [((t.a, t.b, t.c, t.d), t.coef) for t in raw]
-    got = [repr(t) for t in _canonicalize(n, items)]
+    got = [repr(t) for t in Symbol(n, raw).terms]
     assert got == [repr(t) for t in _reference_canonicalize(n, raw)]
 
 
@@ -361,6 +361,68 @@ def test_format_parse_round_trip_keeps_every_key(s):
     back = parse_symbol(format_symbol(s), s.n)
     assert [(t.a, t.b, t.c, t.d) for t in back.terms] == [(t.a, t.b, t.c, t.d) for t in s.terms]
     assert relative_residual(back, s) <= 1e-12
+
+
+def _holomorphic_part(s):
+    return Symbol(s.n, [t for t in s.terms if t.is_holomorphic])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 2).flatmap(lambda n: st.tuples(*[_symbols(n)] * 2)))
+def test_no_operation_writes_an_operands_term_map(pair):
+    # a Symbol is immutable only as long as no operation writes the dict it holds
+    s, t = pair
+    f, g = (_holomorphic_part(x) for x in pair)
+    operations = {
+        "+": lambda: s + t,
+        "-": lambda: s - t,
+        "*": lambda: s * t,
+        "scale": lambda: s.scale(0.5j),
+        "conj": lambda: s.conj(),
+        "shift": lambda: f.shift([0.5 - 0.25j] * s.n),
+        "dz": lambda: s.dz(s.n),
+        "berezin": lambda: berezin(s),
+        "sharp": lambda: sharp(f, g),
+        "toeplitz_apply": lambda: toeplitz_apply(s, f),
+        "relative_residual": lambda: relative_residual(s, t),
+        "fock_inner": lambda: fock_inner(f, g),
+        "symbol_integral": lambda: symbol_integral(s),
+        "format_symbol": lambda: format_symbol(s),
+    }
+
+    def snapshot():
+        return [list(x._map.items()) for x in (s, t, f, g)]
+
+    before = snapshot()
+    for name, operation in operations.items():
+        operation()
+        assert snapshot() == before, name
+
+
+# parts that print and parse back exactly
+_EXACT_PARTS = [0.0, -0.0, 0.5, -0.25, 1.0, -1.5, 3.0]
+
+
+@st.composite
+def _exact_symbols(draw):
+    n = draw(st.integers(1, 3))
+    part = st.sampled_from(_EXACT_PARTS)
+    number = st.builds(complex, part, part)
+    vec = st.tuples(*[number] * n)
+    expo = st.tuples(*[st.integers(0, 2)] * n)
+    return Symbol(n, draw(st.lists(st.builds(SymbolTerm, number, expo, expo, vec, vec), max_size=4)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_exact_symbols(), st.randoms(use_true_random=False))
+# the text of a -0.0 parameter part parses back to 0.0: equal, so the same hash
+@example(Symbol(1, [term(1, (1,), c=(complex(-0.0, 0.5),)), term(-1.5, (0,))]), random.Random(0))
+def test_equality_and_hash_do_not_depend_on_construction_order(s, rng):
+    terms = list(s.terms)  # canonical terms have distinct keys
+    rng.shuffle(terms)
+    for other in (Symbol(s.n, terms), Symbol(s.n, s.terms), parse_symbol(format_symbol(s), s.n)):
+        assert other == s
+        assert hash(other) == hash(s)
 
 
 _BAD_PARTS = st.one_of(

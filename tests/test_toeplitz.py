@@ -125,8 +125,14 @@ def test_guards():
         exponential(1, c=[1e308])
     # each parameter is in range, their sum is not
     big = exponential(1, c=[3000])
-    with pytest.raises(ValueError, match="exponential parameter"):
-        toeplitz_apply(big, big)
+    for leaves_range in (
+        lambda: toeplitz_apply(big, big),
+        lambda: big * big,
+        lambda: big.conj() * big.conj(),
+    ):
+        with pytest.raises(ValueError, match="exponential parameter"):
+            leaves_range()
+    assert (big * big.conj()).terms[0].c == (3000,)
     with pytest.raises(ValueError, match="exponential factor overflows"):
         toeplitz_apply(exponential(1, d=[30]), exponential(1, c=[30]))
 
