@@ -7,8 +7,12 @@ checked against numerics that share no code with them.
 quad_integral integrates a symbol against the normalized Gaussian by
 tensor Gauss-Hermite quadrature on R^{2n}.  Exponential parameters must
 stay below modulus 2 so the Gaussian still dominates the integrand on the
-quadrature range.  The rule of each order is computed once and cached, as
-read-only arrays.
+quadrature range.  Without an explicit order, the order is DEFAULT_ORDER[n]
+up to degree DEGREE_BASE and grows by one per degree above it, up to 64: a
+degree-18 integrand with parameters near 2 is off by 1.9e-9 at order 24 and
+by 8e-14 at order 28.  At n = 2 the grid is evaluated in blocks of a fixed
+number of points, so memory does not grow with the order.  The rule of each
+order is computed once and cached, as read-only arrays.
 
 lemma_l1_check reconstructs the sharp product of holomorphic f, g through
 the inverse Fourier transform route: with Q(z, w) = f(z) * g-reflected(w),
@@ -36,6 +40,11 @@ from .sharp import sharp
 from .symbols import Symbol
 
 DEFAULT_ORDER = {1: 40, 2: 24}
+#: the highest integrand degree that the default orders are kept for
+DEGREE_BASE = 14
+MAX_ORDER = 64
+#: grid points evaluated at once at n = 2 (24^3, one z1 row at order 24)
+BLOCK_POINTS = 24**3
 PARAM_BOUND = 2.0
 MIN_GRID_POINTS = 64
 
@@ -86,9 +95,9 @@ def quad_integral(s: Symbol, order: int | None = None) -> complex:
     if n > 2:
         raise ValueError("quadrature oracle is limited to n <= 2")
     if order is None:
-        order = DEFAULT_ORDER[n]
-    if not 1 <= order <= 64:
-        raise ValueError("quadrature order must be between 1 and 64")
+        order = min(MAX_ORDER, DEFAULT_ORDER[n] + max(0, s.degree() - DEGREE_BASE))
+    if not 1 <= order <= MAX_ORDER:
+        raise ValueError(f"quadrature order must be between 1 and {MAX_ORDER}")
     _check_params(s, PARAM_BOUND)
 
     x, w = _rule(order)
@@ -97,16 +106,15 @@ def quad_integral(s: Symbol, order: int | None = None) -> complex:
         vals = _eval_on_arrays(s, [z])
         return complex((w[:, None] * w[None, :] * vals).sum() / np.pi)
 
-    # n == 2: sum slices along the first axis to bound memory at order 64
+    # n == 2: z1 nodes in blocks of at most BLOCK_POINTS grid points, so that
+    # memory does not grow with the order
+    z = (x[:, None] + 1j * x[None, :]).ravel()
+    ww = (w[:, None] * w[None, :]).ravel()
+    step = max(1, BLOCK_POINTS // z.size)
     total = 0j
-    wy = w[:, None, None]
-    wu = w[None, :, None]
-    wv = w[None, None, :]
-    for i in range(order):
-        z1 = x[i] + 1j * x[:, None, None]
-        z2 = x[None, :, None] + 1j * x[None, None, :]
-        vals = _eval_on_arrays(s, [z1 * np.ones_like(z2), z2 * np.ones_like(z1)])
-        total += w[i] * (wy * wu * wv * vals).sum()
+    for k in range(0, z.size, step):
+        vals = _eval_on_arrays(s, [z[k:k + step, None], z[None, :]])
+        total += (ww[k:k + step, None] * ww[None, :] * vals).sum()
     return complex(total / np.pi**2)
 
 

@@ -227,9 +227,10 @@ def _suite_brown_halmos(cfg: SuiteConfig) -> list[CaseResult]:
         f, g, u, v = _random_pluriharmonic_parts(rng, d)
         phi, psi = f + g.conj(), u + v.conj()
         h = brown_halmos_h(f, g, u, v)
-        rep = op_equal_on_basis(OpChain([phi, psi]), OpChain([h]), cfg.degree, cfg.tol)
+        rep, rep2 = op_equal_on_basis(
+            OpChain([phi, psi]), (OpChain([h]), OpChain([h + 1])), cfg.degree, cfg.tol
+        )
         cases.append(_case_le(f"product-chain-matches-h-{j}", rep.max_residual, cfg.tol))
-        rep2 = op_equal_on_basis(OpChain([phi, psi]), OpChain([h + 1]), cfg.degree, cfg.tol)
         cases.append(_case_ge(f"perturbed-h-detected-{j}", rep2.max_residual, 0.5))
 
     u, v = (random_polynomial(rng, cfg.n, 3, radius=CHAIN_COEF_RADIUS) for _ in range(2))

@@ -51,6 +51,21 @@ def test_outputs_match_recorded_texts():
             assert g[field] == e[field], f"case {i} (n={e['n']}): {field} differs"
 
 
+def changed_texts(old: list[dict], new: list[dict]) -> list[str]:
+    """'case i: field' for each text of new that old lacks or records differently."""
+    return [
+        f"case {i}: {field}"
+        for i, case in enumerate(new)
+        for field, text in case.items()
+        if isinstance(text, str) and (i >= len(old) or old[i].get(field) != text)
+    ]
+
+
 if __name__ == "__main__":
     GOLDEN.parent.mkdir(exist_ok=True)
-    GOLDEN.write_text(json.dumps(compute_cases(), indent=1) + "\n")
+    old = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else []
+    new = compute_cases()
+    changed = changed_texts(old, new)
+    GOLDEN.write_text(json.dumps(new, indent=1) + "\n")
+    texts = sum(isinstance(text, str) for case in new for text in case.values())
+    print(f"{len(changed)} of {texts} texts changed" + "".join(f"\n  {c}" for c in changed))

@@ -6,7 +6,8 @@ import pytest
 from numpy.polynomial.hermite import hermgauss
 
 from fockcalc import oracle
-from fockcalc.gaussian import gaussian_moment
+from fockcalc.dsl import parse_symbol
+from fockcalc.gaussian import gaussian_moment, symbol_integral
 from fockcalc.oracle import lemma_l1_check, quad_integral
 from fockcalc.sharp import sharp
 from fockcalc.suites import unit_disc
@@ -14,6 +15,7 @@ from fockcalc.symbols import constant, coordinate, exponential, monomial
 
 ONE = constant(1, 1)
 Z = coordinate(1, 1)
+Z2 = coordinate(2, 2)
 
 
 def test_quad_normalization():
@@ -77,6 +79,49 @@ def test_quadrature_rules_are_cached_read_only_copies_of_hermgauss():
         assert np.array_equal(x, rx) and np.array_equal(w, rw)
 
 
+def test_default_order_follows_the_degree():
+    # <T_phi f, f> for phi = f + conj(g), f and g drawn at n = 2, degree 6:
+    # a degree-18 integrand with exponential parameters up to 1.99, which
+    # order 24 misses by 1.9e-9
+    f = parse_symbol(
+        "(0.15847227600634+0.8789504460462i)*z1^4*z2*exp((-0.2579342575245-0.143220913105i)*z1"
+        " + (-0.933712657023-0.345606719909i)*z2) + (-0.019832693812605-0.30670431310713i)"
+        "*z1^2*z2^3*exp((-0.2579342575245-0.143220913105i)*z1 + (-0.933712657023-0.345606719909i)"
+        "*z2) + (0.29113829192863+0.0076469185691764i)*z2^6*exp((-0.2579342575245-0.143220913105i)"
+        "*z1 + (-0.933712657023-0.345606719909i)*z2)",
+        2,
+    )
+    g = parse_symbol(
+        "(0.50810373895001-0.60694154784144i)*z2^2*exp((-0.043959987872-0.507270027456i)*z1"
+        " + (-0.213868050566+0.226338140734i)*z2) + (0.16837753701045+0.8904686043589i)*z1^4"
+        "*exp((-0.043959987872-0.507270027456i)*z1 + (-0.213868050566+0.226338140734i)*z2)"
+        " + (0.82779517222737+0.26049555672882i)*z1^2*z2^4*exp((-0.043959987872-0.507270027456i)"
+        "*z1 + (-0.213868050566+0.226338140734i)*z2)",
+        2,
+    )
+    s = (f + g.conj()) * f * f.conj()
+    assert s.degree() == 18
+    exact = symbol_integral(s)
+    assert abs(quad_integral(s) - exact) <= 1e-12 * abs(exact)
+    # up to degree 14 the defaults stay: the verify suites integrate degree 6 at n = 1
+    low = monomial(1, (3,), b=(3,)) * exponential(1, c=[0.5], d=[0.25j])
+    assert quad_integral(low) == quad_integral(low, 40)
+    mid = monomial(2, (4, 3), b=(3, 4)) * exponential(2, c=[0.5, 0], d=[0, 0.25j])
+    assert quad_integral(mid) == quad_integral(mid, 24)
+
+
+def test_two_dimensional_blocks_cover_the_grid():
+    # one block at order 5; at order 28 the last block is short
+    s = monomial(2, (2, 1), b=(0, 3)) * exponential(2, c=[0.5, 0.25j], d=[-0.5, 0]) + Z2
+    for order in (5, 28):
+        x, w = hermgauss(order)
+        z = (x[:, None] + 1j * x[None, :]).ravel()
+        ww = (w[:, None] * w[None, :]).ravel()
+        vals = oracle._eval_on_arrays(s, [z[:, None], z[None, :]])
+        full = (ww[:, None] * ww[None, :] * vals).sum() / np.pi**2
+        assert abs(quad_integral(s, order) - full) <= 1e-13 * abs(full)
+
+
 # -- Fourier-route reconstruction ----------------------------------------------
 
 
@@ -105,8 +150,6 @@ def test_fourier_transform_matches_the_transposed_formula_exactly():
     # the three inputs of the lemma-l1 suite
     for f, g in ((ONE, ONE), (Z, Z), (exponential(1, c=[1]), Z)):
         assert lemma_l1_check(f, g) == _lemma_l1_reference(f, g)
-
-
 
 
 def test_fourier_constant_pair():

@@ -8,7 +8,7 @@ from fockcalc.berezin import berezin, operator_berezin
 from fockcalc.gaussian import fock_inner, symbol_integral
 from fockcalc.indices import mi_enumerate, mi_factorial
 from fockcalc.sharp import sharp
-from fockcalc.suites import random_holo, random_polynomial, unit_disc
+from fockcalc.suites import random_holo, random_polynomial, run_suite, unit_disc
 from fockcalc.symbols import (
     constant,
     coordinate,
@@ -175,6 +175,58 @@ def test_order_matters_for_creation_annihilation():
     assert rep.max_residual >= 1.0
     assert rep.worst_alpha == (0,)
     assert not rep.passed
+
+
+def _counting(monkeypatch, name):
+    """Replace toeplitz.<name> by a wrapper; returns the list of its calls' arguments."""
+    calls = []
+    orig = getattr(toeplitz_module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return orig(*args)
+
+    monkeypatch.setattr(toeplitz_module, name, counted)
+    return calls
+
+
+def test_one_comparison_builds_each_column_once(monkeypatch):
+    calls = _counting(monkeypatch, "_column")
+    rng = random.Random(29)
+    n = 2
+    f, g, u, v = (random_polynomial(rng, n, 3, radius=0.5) for _ in range(4))
+    phi, psi = f + g.conj(), u + v.conj()
+    op_equal_on_basis(OpChain([phi, psi]), OpChain([psi, phi]), degree=6, tol=1e-9)
+    built = [(phi_, key) for phi_, key, _ in calls]
+    assert len(built) == len(set(built))
+    # both symbols act on every basis element, and the second chain adds no column
+    assert {phi_ for phi_, _ in built} == {phi, psi}
+    assert {key for phi_, key in built if phi_ == psi} >= {
+        (a, (0j,) * n) for a in mi_enumerate(n, 6)
+    }
+
+
+def test_brown_halmos_builds_the_product_images_once(monkeypatch):
+    calls = _counting(monkeypatch, "_images")
+    report = run_suite("brown-halmos", n=2, degree=4)
+    assert report.passed
+    products = [chain for chain, *_ in calls if len(chain.symbols) == 2]
+    assert len(products) == 5 == len(set(products))
+    # each instance compares its product chain with h and with h + 1
+    assert len(calls) == 3 * len(products)
+
+
+def test_a_sequence_of_chains_gives_the_separate_reports():
+    rng = random.Random(31)
+    f, g, u, v = (random_polynomial(rng, 2, 3, radius=0.5) for _ in range(4))
+    phi, psi = f + g.conj(), u + v.conj()
+    h = brown_halmos_h(f, g, u, v)
+    others = (OpChain([h]), OpChain([h + 1]), OpChain([psi, phi]))
+    reps = op_equal_on_basis(OpChain([phi, psi]), others, degree=5, tol=1e-9)
+    assert reps == tuple(
+        op_equal_on_basis(OpChain([phi, psi]), other, degree=5, tol=1e-9) for other in others
+    )
+    assert reps[0].passed and not reps[1].passed
 
 
 def test_factored_chain_matches_sharp_symbol():
