@@ -7,11 +7,11 @@ sums and negations accumulate in place, and products use the one product
 rule of `symbols`; both drop the cancellation noise of the keys they
 merge.  The result is canonicalized once, plus once for the argument of
 each exp and each component of K, so a sum of many terms parses in linear
-time.  Every diagnostic on bad notation, including an exp or K parameter
-part outside the range of `symbols` and a product (`*` or `^`) whose
-parameter parts leave that range, is a SymbolSyntaxError carrying the
-character position; arithmetic that leaves the float range raises a plain
-ValueError.
+time.  Every diagnostic on bad notation, including an exponent after `^`
+above indices.MAX_EXPONENT (20), an exp or K parameter part outside the
+range of `symbols` and a product (`*` or `^`) whose parameter parts leave
+that range, is a SymbolSyntaxError carrying the character position;
+arithmetic that leaves the float range raises a plain ValueError.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ import math
 import re
 from typing import NamedTuple
 
+from .indices import MAX_EXPONENT
 from .symbols import PARAM_STEP, Symbol, _checked, _conj, _drop_noise, _merge, _product, _snap
 
 
@@ -118,9 +119,12 @@ class _Parser:
         out = self.base()
         if self.peek().kind == "op" and self.peek().text == "^":
             pos = self.advance().pos
+            k = self.nat()
+            if k > MAX_EXPONENT:
+                raise SymbolSyntaxError(f"exponent {k} is above the cap {MAX_EXPONENT}", pos)
             # x^0 is 1 for every x, so x is checked before it can be dropped
             base, out = _checked(out), self._constant(1)
-            for _ in range(self.nat()):
+            for _ in range(k):
                 out = self._mul(out, base, pos)
         return out
 

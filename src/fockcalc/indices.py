@@ -11,6 +11,7 @@ double.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from itertools import product
 from typing import Iterable
 
@@ -74,7 +75,13 @@ def mi_enumerate(n: int, max_order: int) -> list[MultiIndex]:
     Graded-lex: ascending total order, then z_1-major lexicographic within
     each order (so for n=2: (0,0), (1,0), (0,1), (2,0), (1,1), (0,2), ...).
     The order is the canonical basis order for every report in the package.
+    Each call returns a new list; the enumeration itself is cached.
     """
+    return list(_enumerate(n, max_order))
+
+
+@lru_cache(maxsize=64)
+def _enumerate(n: int, max_order: int) -> tuple[MultiIndex, ...]:
     if n < 1:
         raise ValueError("dimension must be >= 1")
     if max_order < 0:
@@ -85,7 +92,7 @@ def mi_enumerate(n: int, max_order: int) -> list[MultiIndex]:
         if sum(alpha) <= max_order
     ]
     out.sort(key=grlex_key)
-    return out
+    return tuple(out)
 
 
 def grlex_key(alpha: MultiIndex):

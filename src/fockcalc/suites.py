@@ -113,11 +113,13 @@ def random_polynomial(
 ) -> Symbol:
     """Random nonzero holomorphic polynomial, sparse support."""
     idx = mi_enumerate(n, degree)
+    b, cz = (0,) * n, (0j,) * n
     out = zero(n)
     while out.is_zero or out.degree() < min_degree:
-        out = zero(n)
-        for _ in range(rng.randint(1, max_terms)):
-            out = out + monomial(n, rng.choice(idx), coef=unit_disc(rng, radius))
+        out = Symbol._of(n, [
+            ((rng.choice(idx), b, cz, cz), unit_disc(rng, radius))
+            for _ in range(rng.randint(1, max_terms))
+        ])
     return out
 
 

@@ -51,7 +51,7 @@ from dataclasses import dataclass
 from operator import add
 from typing import Iterable
 
-from .indices import MultiIndex, as_multi_index
+from .indices import MAX_EXPONENT, MultiIndex, as_multi_index
 
 #: exponential parameter parts are rounded to multiples of this grid step
 PARAM_STEP = 2.0**-40
@@ -322,6 +322,8 @@ class Symbol:
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
             raise ValueError("symbol powers must be non-negative integers")
+        if k > MAX_EXPONENT:
+            raise ValueError(f"symbol power {k} is above the cap {MAX_EXPONENT}")
         out = constant(self.n, 1)
         for _ in range(k):
             out = out * self

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -10,6 +11,7 @@ from fockcalc.symbols import (
     coordinate,
     exponential,
     kernel,
+    monomial,
     relative_residual,
     zero,
 )
@@ -36,6 +38,16 @@ def test_parse_powers_and_sums():
     s = parse_symbol("z1^3 - 2*z1 + (0.5-0.25i)", 1)
     z = coordinate(1, 1)
     assert relative_residual(s, z**3 - 2 * z + (0.5 - 0.25j)) == 0.0
+
+
+def test_parse_exponent_cap():
+    assert parse_symbol("z1^20", 1) == monomial(1, (20,))
+    for text in ("z1^21", "(z1 + 1)^99999999", "z1^99999999"):
+        start = time.perf_counter()
+        with pytest.raises(SymbolSyntaxError, match="above the cap 20") as err:
+            parse_symbol(text, 1)
+        assert err.value.position == text.index("^")
+        assert time.perf_counter() - start < 1.0
 
 
 def test_parse_nonlinear_exp_rejected():

@@ -124,6 +124,14 @@ def test_enumerate_graded_lex_order():
     assert out == sorted(out, key=grlex_key)
 
 
+def test_enumerate_returns_a_new_list_each_call():
+    out = mi_enumerate(2, 2)
+    out.append((9, 9))
+    out[0] = (5, 5)
+    assert mi_enumerate(2, 2) == [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
+    assert mi_enumerate(2, 2) is not mi_enumerate(2, 2)
+
+
 def test_enumerate_errors():
     with pytest.raises(ValueError):
         mi_enumerate(0, 2)

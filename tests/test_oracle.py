@@ -1,5 +1,6 @@
 import cmath
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -126,8 +127,8 @@ def test_two_dimensional_blocks_cover_the_grid():
 
 
 def _lemma_l1_reference(f, g, grid_half_width=8.0, grid_points=256):
-    """lemma_l1_check with the transform written as phase.T @ samples @ phase
-    for an N x M phase: the same products, the left operands transposed."""
+    """lemma_l1_check on the dense N x N sample grid, with the 2-D transform
+    as two matrix products: the formula the separable transform factors."""
     L, N = grid_half_width, grid_points
     h = 2.0 * L / N
     x = -L + (np.arange(N) + 0.5) * h
@@ -146,10 +147,39 @@ def _lemma_l1_reference(f, g, grid_half_width=8.0, grid_points=256):
     return float(np.max(np.abs(numeric - exact)[np.abs(zeta) <= L / 4.0]))
 
 
-def test_fourier_transform_matches_the_transposed_formula_exactly():
-    # the three inputs of the lemma-l1 suite
-    for f, g in ((ONE, ONE), (Z, Z), (exponential(1, c=[1]), Z)):
-        assert lemma_l1_check(f, g) == _lemma_l1_reference(f, g)
+def test_separable_transform_matches_the_dense_formula():
+    # the three inputs of the lemma-l1 suite, then multi-term inputs of
+    # degree up to 4 per side with complex exponential parameters; the
+    # separable sum rounds differently, so agreement is to 1e-12
+    pairs = [(ONE, ONE), (Z, Z), (exponential(1, c=[1]), Z)]
+    pairs.append((parse_symbol("(0.5-0.25i)*z1^4 + 2i*z1 - 1", 1), parse_symbol("z1^3 + (1+1i)", 1)))
+    pairs.append((
+        parse_symbol("(z1^2 - 0.5i*z1^4)*exp((0.6-0.7i)*z1)", 1),
+        parse_symbol("(0.3 + z1^3)*exp(-0.9i*z1)", 1),
+    ))
+    pairs.append((
+        parse_symbol("z1^4*exp(0.8i*z1) + (0.25+0.5i)*z1*exp(-0.5*z1)", 1),
+        parse_symbol("z1^2*exp((-0.6+0.6i)*z1) + 0.75*z1^4", 1),
+    ))
+    for f, g in pairs:
+        assert abs(lemma_l1_check(f, g) - _lemma_l1_reference(f, g)) <= 1e-12
+
+
+def test_fourier_check_stays_off_the_dense_grid():
+    # a single 256 x 256 complex grid is 1 MiB; the dense formula peaks near 7.5 MiB
+    f = exponential(1, c=[1])
+    lemma_l1_check(f, Z)
+    tracemalloc.start()
+    try:
+        lemma_l1_check(f, Z)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+
+
+def test_fourier_zero_input():
+    assert lemma_l1_check(constant(1, 0), Z) == 0.0
 
 
 def test_fourier_constant_pair():

@@ -1,17 +1,47 @@
 import json
+import random
 import shlex
 from pathlib import Path
 
 import pytest
 
 from fockcalc.cli import _build_parser, main
+from fockcalc.dsl import format_symbol
+from fockcalc.indices import mi_enumerate
 from fockcalc.suites import (
     SUITES,
     CaseResult,
     VerificationReport,
+    random_polynomial,
     report_to_json,
     run_suite,
+    unit_disc,
 )
+from fockcalc.symbols import monomial, zero
+
+
+def _random_polynomial_by_sums(rng, n, degree, max_terms=3, radius=1.0, min_degree=0):
+    """random_polynomial as a loop of Symbol sums, one drawn monomial at a time."""
+    idx = mi_enumerate(n, degree)
+    out = zero(n)
+    while out.is_zero or out.degree() < min_degree:
+        out = zero(n)
+        for _ in range(rng.randint(1, max_terms)):
+            out = out + monomial(n, rng.choice(idx), coef=unit_disc(rng, radius))
+    return out
+
+
+def test_random_polynomial_matches_the_sum_loop():
+    for n in (1, 2, 3):
+        for seed in (0, 1, 7, 12345):
+            for kwargs in ({}, {"max_terms": 6, "radius": 2.0}, {"min_degree": 3}, {"min_degree": 6}):
+                new, old = random.Random(seed), random.Random(seed)
+                for _ in range(5):
+                    got = random_polynomial(new, n, 6, **kwargs)
+                    want = _random_polynomial_by_sums(old, n, 6, **kwargs)
+                    assert format_symbol(got) == format_symbol(want)
+                    assert got == want
+                assert new.getstate() == old.getstate()
 
 
 def test_every_named_suite_passes_at_defaults():
@@ -132,7 +162,7 @@ def test_cli_json_payloads(capsys):
 
 
 def test_cli_exit_codes(capsys, tmp_path):
-    for text in ("exp(z1^2)", "exp(1000)"):
+    for text in ("exp(z1^2)", "exp(1000)", "z1^99999999"):
         assert main(["parse", "-s", text, "--n", "1"]) == 2
         err = capsys.readouterr().err
         assert "position" in err and "Traceback" not in err

@@ -469,6 +469,13 @@ def test_mul_examples():
     assert relative_residual(p, 1 - Z**2) == 0.0
 
 
+def test_power_cap():
+    assert Z**20 == monomial(1, (20,))
+    for k in (21, 99999999):
+        with pytest.raises(ValueError, match="above the cap 20"):
+            (1 + Z) ** k
+
+
 def test_mul_commutative_associative():
     rng = random.Random(17)
     for _ in range(25):
