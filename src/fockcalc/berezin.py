@@ -29,7 +29,13 @@ from .toeplitz import OpChain
 
 def berezin(s: Symbol) -> Symbol:
     """Berezin transform of a symbol, returned as a symbol in the same class."""
-    items = []
+    return Symbol._of(s.n, _items(s))
+
+
+def _items(s: Symbol):
+    """The raw items of berezin(s), one input term's expansion at a time, so
+    they are never all held at once: the expansions of a large product can
+    outnumber the keys they merge into 65 to 1."""
     for (a, b, c, d), x in s._map.items():
         factors = []
         for ak, bk, ck, dk in zip(a, b, c, d):
@@ -40,8 +46,9 @@ def berezin(s: Symbol) -> Symbol:
                     for l, q in _binomial(bk - j, ck):
                         fk[i, l] = fk.get((i, l), 0) + w * p * q
             factors.append(fk)
+        items = []
         _expand(items, x * _exp_factor(c, d), factors, c, d)
-    return Symbol._of(s.n, items)
+        yield from items
 
 
 def operator_berezin(chain: OpChain, zeta) -> complex:

@@ -5,24 +5,45 @@ literals, is `docs/grammar.ebnf`; the parser methods follow its
 productions.  Each node evaluates to a term map {(a, b, c, d): coef}:
 sums and negations accumulate in place, and products use the one product
 rule of `symbols`; both drop the cancellation noise of the keys they
-merge.  The result is canonicalized once, plus once for the argument of
-each exp and each component of K, so a sum of many terms parses in linear
-time.  Every diagnostic on bad notation, including an exponent after `^`
-above indices.MAX_EXPONENT (20), an exp or K parameter part outside the
-range of `symbols` and a product (`*` or `^`) whose parameter parts leave
-that range, is a SymbolSyntaxError carrying the character position;
+merge.  The result is canonicalized once, plus once for each component
+of K, so a sum of many terms parses in linear time.  An exp argument is
+lowered from its term map directly: each of its constant, z_k and
+conj(z_k) slots takes at most one term, so no order is needed.  Each
+parse keeps a memo of its lowered exp factors, keyed on the source text
+of the argument: the tokenizer emits a repeated argument as one "memo"
+token, and the parser hands out a copy of the stored factor.  Every
+diagnostic on bad notation, including an exponent after `^` above
+indices.MAX_EXPONENT (20), an exp or K parameter part outside the range
+of `symbols` and a product (`*` or `^`) whose parameter parts leave that
+range, is a SymbolSyntaxError carrying the character position;
 arithmetic that leaves the float range raises a plain ValueError.
+
+The printer renders each monomial z^a conj(z)^b once per process, from a
+bounded cache, and splits an exponent above MAX_EXPONENT into factors the
+parser accepts (z1^20*z1 for z1^21).
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import re
+from bisect import bisect_right
 from typing import NamedTuple
 
 from .indices import MAX_EXPONENT
-from .symbols import PARAM_STEP, Symbol, _checked, _conj, _drop_noise, _merge, _product, _snap
+from .symbols import (
+    PARAM_STEP,
+    Symbol,
+    _canonical_order,
+    _checked,
+    _conj,
+    _drop_noise,
+    _merge,
+    _product,
+    _snap,
+)
 
 
 class SymbolSyntaxError(ValueError):
@@ -49,32 +70,57 @@ _MINUS_ONE = complex(-1)
 
 
 class _Token(NamedTuple):
-    kind: str  # number | coord | name | op | end
+    kind: str  # number | coord | name | op | memo | end
     text: str
     pos: int
 
 
+def _closing(text: str, start: int) -> int:
+    """Index of the ")" that closes a "(" just before text[start], or -1."""
+    end = text.find(")", start)
+    while end >= 0 and text.count("(", start, end) != text.count(")", start, end):
+        end = text.find(")", end + 1)
+    return end
+
+
 def _tokenize(text: str) -> list[_Token]:
+    """The tokens of text.  An exp argument whose source text occurred before is one
+    token ("memo", argument text, its position).  Its first occurrence tokenized
+    without error, and the parser reaches the memo token only after it parsed and
+    lowered that occurrence without error, so skipping the text hides no diagnostic."""
     out = []
+    seen = set()  # source texts of the exp arguments so far
     pos = 0
     while pos < len(text):
         m = _TOKEN_RE.match(text, pos)
         if m is None:
             raise SymbolSyntaxError(f"unexpected character {text[pos]!r}", pos)
-        if m.lastgroup != "ws":
-            out.append(_Token(m.lastgroup, m.group(), pos))
+        kind = m.lastgroup
+        if kind != "ws":
+            out.append(_Token(kind, m.group(), pos))
         pos = m.end()
+        if kind == "op" and out[-1].text == "(" and len(out) > 1 and out[-2].text == "exp":
+            end = _closing(text, pos)
+            if end >= 0:
+                arg = text[pos:end]
+                if arg in seen:
+                    out.append(_Token("memo", arg, pos))
+                    pos = end
+                else:
+                    seen.add(arg)
     out.append(_Token("end", "", len(text)))
     return out
 
 
 class _Parser:
     def __init__(self, text: str, n: int):
+        self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
         self.n = n
         self.zero = (0,) * n
         self.czero = (0j,) * n
+        self.exps: dict[str, dict] = {}  # exp argument source text -> its lowered factor
 
     def peek(self) -> _Token:
         return self.tokens[self.i]
@@ -161,10 +207,17 @@ class _Parser:
                 return _conj(inner)
             if tok.text == "exp":
                 self.advance()
-                self.expect_op("(")
-                inner = self.expr()
-                self.expect_op(")")
-                return self._lower_exp(Symbol._of(self.n, list(inner.items())), tok.pos)
+                start = self.expect_op("(").pos + 1
+                arg = self.peek()
+                if arg.kind == "memo":  # parsed and lowered before, without error
+                    self.advance()
+                    self.expect_op(")")
+                    out = self.exps[arg.text]
+                else:
+                    inner = self.expr()
+                    end = self.expect_op(")").pos
+                    out = self.exps[self.text[start:end]] = self._lower_exp(inner, tok.pos)
+                return dict(out)  # expr merges into its first term's map in place
             if tok.text == "K":
                 self.advance()
                 self.expect_op("(")
@@ -215,31 +268,42 @@ class _Parser:
             raise SymbolSyntaxError("kernel components must be constants", tok.pos)
         return value.constant_value()
 
-    def _lower_exp(self, arg: Symbol, pos: int) -> dict:
-        """exp of an affine argument; the constant part folds into the coefficient."""
+    def _lower_exp(self, arg: dict, pos: int) -> dict:
+        """exp of an affine argument, given as a term map without cancellation noise;
+        the constant part folds into the coefficient.  Terms with a zero coefficient
+        are skipped, as canonicalization would drop them, and each slot takes at most
+        one term, so the order of the map does not matter."""
         const = 0j
         c = [0j] * self.n
         d = [0j] * self.n
-        for (a, b, ec, ed), x in arg._map.items():
-            if any(ec) or any(ed):
-                raise SymbolSyntaxError("exp argument must not contain exp", pos)
-            degree = sum(a) + sum(b)
-            if degree == 0:
-                const += x
-            elif degree == 1:
-                if sum(a) == 1:
-                    c[a.index(1)] += x
-                else:
-                    d[b.index(1)] += x
+        for (a, b, ec, ed), x in _checked(arg).items():
+            if not x:
+                continue
+            if any(ec) or any(ed) or sum(a) + sum(b) > 1:
+                raise SymbolSyntaxError(_exp_argument_error(arg), pos)
+            if any(a):
+                c[a.index(1)] += x
+            elif any(b):
+                d[b.index(1)] += x
             else:
-                raise SymbolSyntaxError(
-                    "exp argument must be affine in the coordinates", pos
-                )
+                const += x
         try:
             coef = cmath.exp(const)
         except OverflowError:
             raise SymbolSyntaxError("exp of the constant part overflows", pos) from None
         return self._exponential(c, d, coef, pos)
+
+
+def _exp_argument_error(arg: dict) -> str:
+    """What is wrong with the exp argument arg, which has a bad term: its first bad
+    term in canonical order names it."""
+    bad = next(
+        key for key in _canonical_order(arg)
+        if any(key[2]) or any(key[3]) or sum(key[0]) + sum(key[1]) > 1
+    )
+    if any(bad[2]) or any(bad[3]):
+        return "exp argument must not contain exp"
+    return "exp argument must be affine in the coordinates"
 
 
 def parse_symbol(text: str, n: int) -> Symbol:
@@ -261,63 +325,88 @@ def parse_symbol(text: str, n: int) -> Symbol:
 
 # 12 digits would cap the round trip near 5e-12 relative (0.5 ulp of a
 # p-digit decimal is 0.5*10^{1-p}); 14 holds the 1e-12 tolerance with margin
-_FMT_DIGITS = 14
+_REAL, _IMAG, _COMPLEX = "%.14g", "%.14gi", "(%.14g%s%.14gi)"
+
+#: 10^E for E = -12..3, as the nearest doubles; a grid value has E >= -13
+_DECADES = [float(f"1e{e}") for e in range(-12, 4)]
 
 
-def _fmt_float(v: float) -> str:
-    return f"{v:.{_FMT_DIGITS}g}"
+def _fmt_coef(v: complex) -> str:
+    if v.imag == 0:
+        return _REAL % v.real
+    if v.real == 0:
+        return _IMAG % v.imag
+    return _COMPLEX % (v.real, "+" if v.imag >= 0 else "-", abs(v.imag))
 
 
 def _fmt_param_part(v: float) -> str:
     """The shortest %.{p}g text of the grid value v that rounds back to v.
 
-    More digits are never farther from v, so p is found by bisection; 17 digits give v.
+    More digits are never farther from v, so p is found by bisection.  With E
+    the decimal exponent of v, E + 14 digits are within 5e-14 of v, far inside
+    half a grid step, and a random grid value needs E + 12 to E + 14: the
+    search starts at E + 14 (an E read one too high only widens it) and probes
+    the two widths below before it bisects.
     """
-    k, lo, hi = round(v / PARAM_STEP), 1, 17
+    k, lo, hi = round(v / PARAM_STEP), 1, bisect_right(_DECADES, abs(v)) + 1
+    probes = 0
     while lo < hi:
-        p = (lo + hi) // 2
+        p = hi - 1 if probes < 2 else (lo + hi) // 2
         lo, hi = (lo, p) if round(float("%.*g" % (p, v)) / PARAM_STEP) == k else (p + 1, hi)
+        probes += 1
     return "%.*g" % (lo, v)
 
 
-def _fmt_coef(v: complex, fmt=_fmt_float) -> str:
+def _fmt_param(v: complex) -> str:
     if v.imag == 0:
-        return fmt(v.real)
+        return _fmt_param_part(v.real)
     if v.real == 0:
-        return fmt(v.imag) + "i"
+        return _fmt_param_part(v.imag) + "i"
     sign = "+" if v.imag >= 0 else "-"
-    return f"({fmt(v.real)}{sign}{fmt(abs(v.imag))}i)"
+    return f"({_fmt_param_part(v.real)}{sign}{_fmt_param_part(abs(v.imag))}i)"
 
 
 def _join_sum(parts: list[str]) -> str:
-    out = parts[0]
-    for p in parts[1:]:
-        if p.startswith("-"):
-            out += " - " + p[1:]
-        else:
-            out += " + " + p
-    return out
+    return parts[0] + "".join([" - " + p[1:] if p[0] == "-" else " + " + p for p in parts[1:]])
 
 
 def _fmt_linear(c, d) -> str:
     parts = []
     for k, v in enumerate(c):
         if v != 0:
-            parts.append(_fmt_product(v, f"z{k + 1}", _fmt_param_part))
+            parts.append(_fmt_product(v, f"z{k + 1}", _fmt_param))
     for k, v in enumerate(d):
         if v != 0:
-            parts.append(_fmt_product(v, f"conj(z{k + 1})", _fmt_param_part))
+            parts.append(_fmt_product(v, f"conj(z{k + 1})", _fmt_param))
     return _join_sum(parts)
 
 
-def _fmt_product(coef: complex, factors_text: str, fmt=_fmt_float) -> str:
+def _fmt_product(coef: complex, factors_text: str, fmt=_fmt_coef) -> str:
     if not factors_text:
-        return _fmt_coef(coef, fmt)
+        return fmt(coef)
     if coef == 1:
         return factors_text
     if coef == -1:
         return "-" + factors_text
-    return _fmt_coef(coef, fmt) + "*" + factors_text
+    return fmt(coef) + "*" + factors_text
+
+
+@functools.lru_cache(maxsize=4096)
+def _fmt_monomial(a: tuple, b: tuple) -> str:
+    """z^a conj(z)^b as "*"-joined factors, "" for 1; an exponent above MAX_EXPONENT
+    is split into factors of at most MAX_EXPONENT, which the parser's ^ accepts."""
+    factors = []
+    for template, exponents in (("z%d", a), ("conj(z%d)", b)):
+        for k, e in enumerate(exponents, 1):
+            base = template % k
+            while e > MAX_EXPONENT:
+                factors.append(f"{base}^{MAX_EXPONENT}")
+                e -= MAX_EXPONENT
+            if e == 1:
+                factors.append(base)
+            elif e > 1:
+                factors.append(f"{base}^{e}")
+    return "*".join(factors)
 
 
 def format_symbol(s: Symbol) -> str:
@@ -327,23 +416,13 @@ def format_symbol(s: Symbol) -> str:
     exps: dict = {}  # (c, d) -> its rendered exp(...) factor, "" when both vanish
     parts = []
     for (a, b, c, d), coef in s._map.items():
-        factors = []
-        for k, e in enumerate(a):
-            if e == 1:
-                factors.append(f"z{k + 1}")
-            elif e > 1:
-                factors.append(f"z{k + 1}^{e}")
-        for k, e in enumerate(b):
-            if e == 1:
-                factors.append(f"conj(z{k + 1})")
-            elif e > 1:
-                factors.append(f"conj(z{k + 1})^{e}")
+        text = _fmt_monomial(a, b)
         e = exps.get((c, d))
         if e is None:
             e = exps[c, d] = f"exp({_fmt_linear(c, d)})" if any(c) or any(d) else ""
         if e:
-            factors.append(e)
-        parts.append(_fmt_product(coef, "*".join(factors)))
+            text = f"{text}*{e}" if text else e
+        parts.append(_fmt_product(coef, text))
     return _join_sum(parts)
 
 

@@ -209,8 +209,9 @@ def _canonical_order(m: dict) -> list[tuple]:
     return out
 
 
-def _canonicalize(items: list[tuple]) -> dict:
-    """The canonical term map of the items [((a, b, c, d), coef)] with grid parameters."""
+def _canonicalize(items: Iterable[tuple]) -> dict:
+    """The canonical term map of the items [((a, b, c, d), coef)] with grid parameters;
+    items is read once, in order."""
     mass: dict[tuple, float] = {}
     merged = _drop_noise(_checked(_merge({}, mass, items)), mass)
     return {key: merged[key] for key in _canonical_order(merged)}
@@ -232,7 +233,7 @@ class Symbol:
         object.__setattr__(self, "_map", _canonicalize(list(_keyed(int(n), terms))))
 
     @classmethod
-    def _of(cls, n: int, items: list[tuple]) -> "Symbol":
+    def _of(cls, n: int, items: Iterable[tuple]) -> "Symbol":
         """The canonical symbol of the items [((a, b, c, d), coef)] on C^n; for the
         package's own results, whose keys have length n, parameters are on the grid
         and coefficients are complex."""
@@ -441,6 +442,13 @@ def _product(s: dict, t: dict) -> dict:
     parameters add exactly below 2^13, and ValueError is raised for a sum out of
     range.  Coefficients are not checked here.
     """
+    if len(s) == 1 and len(t) == 1:  # one pair: no merging, so no noise
+        ((a, b, c, d), x), = s.items()
+        ((a2, b2, c2, d2), y), = t.items()
+        c, d = tuple(map(add, c, c2)), tuple(map(add, d, d2))
+        for v in {c, d}:  # the set, and so the order, of the loop below
+            _in_range(v)
+        return {(tuple(map(add, a, a2)), tuple(map(add, b, b2)), c, d): x * y}
     mass: dict = {}
     pairs = (
         (

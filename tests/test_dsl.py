@@ -2,8 +2,10 @@ import random
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fockcalc import symbols
+from fockcalc import berezin, symbols
 from fockcalc.dsl import SymbolSyntaxError, format_symbol, parse_complex, parse_symbol
 from fockcalc.symbols import (
     Symbol,
@@ -110,6 +112,7 @@ def test_parameter_overflow_rejected():
         ("z1 + exp(5000i*conj(z1))", 5),
         ("z1*K(4096.5)", 3),
         ("exp(0.5*z1 - 1e308*z1)", 0),
+        ("exp(5000*z1) + exp(5000*z1)", 0),  # a repeated argument fails at its first
     ):
         with pytest.raises(SymbolSyntaxError, match="exponential parameter") as err:
             parse_symbol(text, 1)
@@ -170,11 +173,32 @@ def count_canonicalizations(monkeypatch, text, n):
     return len(calls)
 
 
-def test_parse_canonicalizes_once_plus_once_per_exp(monkeypatch):
+def test_parse_canonicalizes_once(monkeypatch):
     poly = " + ".join(f"{k}*z1^{k % 7}*conj(z2)^{k % 5}" for k in range(1, 501))
     assert count_canonicalizations(monkeypatch, poly, 2) == 1
+    # an exp argument is lowered from its term map, without canonicalization
     exps = " - ".join(f"{k}*z2*exp({k}*z1 - 0.5*conj(z2))" for k in range(1, 41))
-    assert count_canonicalizations(monkeypatch, exps, 2) <= 1 + 40
+    assert count_canonicalizations(monkeypatch, exps, 2) == 1
+
+
+#: the parser's tokens, some repeated so that exp arguments recur; no exponent
+#: of 20, whose nested powers would be slow to multiply out
+FUZZ_TOKENS = [
+    "z1", "z2", "z3", "conj", "exp", "K", "(", ")", "+", "-", "*", "^", ",", " ",
+    "0", "1", "2", "3", "21", "0.5", "2.5e3", "1e400", "0.25i", "i", "@", ".", "exp(z1)",
+    "exp(", "(1-2i)", "5000",
+]
+
+
+@settings(max_examples=400, deadline=500)
+@given(st.lists(st.sampled_from(FUZZ_TOKENS), max_size=24).map("".join), st.integers(1, 3))
+def test_parse_fuzz_raises_only_value_errors_with_positions(text, n):
+    try:
+        parse_symbol(text, n)
+    except SymbolSyntaxError as exc:
+        assert 0 <= exc.position <= len(text), (text, exc.position)
+    except ValueError:
+        pass
 
 
 def test_trailing_input_rejected():
@@ -188,6 +212,26 @@ def test_format_zero():
 
 def test_format_merges_canonically():
     assert format_symbol(parse_symbol("z1 + z1", 1)) == "2*z1"
+
+
+def test_format_splits_exponents_above_the_cap():
+    z = coordinate(1, 1)
+    assert format_symbol(z**20 * z) == "z1^20*z1"
+    assert format_symbol(z**20 * z**20 * z.conj() ** 20 * z.conj() ** 3) == (
+        "z1^20*z1^20*conj(z1)^20*conj(z1)^3"
+    )
+    assert format_symbol(z**20) == "z1^20"
+    s = coordinate(2, 2) ** 20 * coordinate(2, 2) ** 5 * coordinate(2, 1).conj() ** 20
+    s = s * coordinate(2, 1).conj() * exponential(2, c=[0.5, 0], coef=2)
+    assert format_symbol(s) == "2*z2^20*z2^5*conj(z1)^20*conj(z1)*exp(0.5*z1)"
+    assert parse_symbol(format_symbol(s), 2) == s
+    for t in (z**20 * z, z**20 * z * z.conj() ** 20 * z.conj() ** 2):
+        assert parse_symbol(format_symbol(t), 1) == t
+    # berezin of z^25 conj(z)^25 has the terms z^k conj(z)^k, k = 0..25
+    b = berezin(monomial(1, (25,), b=(25,)))
+    back = parse_symbol(format_symbol(b), 1)
+    assert list(back._map) == list(b._map)
+    assert relative_residual(back, b) <= 1e-12
 
 
 def test_format_renders_each_term_its_own_exponential():

@@ -3,8 +3,8 @@
 `reference_parse` is a frozen copy of the parser as it was when every
 grammar node evaluated to a canonical Symbol: each literal, coordinate,
 product, power step and partial sum was canonicalized.  The package's
-parser evaluates nodes to term maps and canonicalizes once, plus once per
-exp/K argument.  On texts that format_symbol renders the two agree exactly;
+parser evaluates nodes to term maps, canonicalizes once, plus once per K
+argument, and lowers each distinct exp argument once per parse.  On texts that format_symbol renders the two agree exactly;
 on random expression trees the keys agree exactly and the coefficients up
 to rounding, because the trees keep every coefficient far above the
 relative floor and every exponential parameter on a grid that the
@@ -14,16 +14,49 @@ clustering tolerance cannot merge.
 import cmath
 import math
 import random
+import re
+from typing import NamedTuple
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fockcalc import berezin, format_symbol, parse_symbol, sharp, toeplitz_apply
-from fockcalc.dsl import SymbolSyntaxError, _Token, _tokenize
+from fockcalc.dsl import SymbolSyntaxError
 from fockcalc.suites import random_holo
 from fockcalc.symbols import Symbol, constant, coordinate, exponential, kernel
 
 # -- frozen reference ----------------------------------------------------------------
+
+_TOKEN_RE = re.compile(
+    r"""(?P<ws>\s+)
+      | (?P<number>(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?i?)
+      | (?P<coord>z\d+)
+      | (?P<name>[A-Za-z_][A-Za-z_0-9]*)
+      | (?P<op>[-+*^(),])
+    """,
+    re.VERBOSE,
+)
+
+
+class _Token(NamedTuple):
+    kind: str  # number | coord | name | op | end
+    text: str
+    pos: int
+
+
+def _tokenize(text: str) -> list[_Token]:
+    out = []
+    pos = 0
+    while pos < len(text):
+        m = _TOKEN_RE.match(text, pos)
+        if m is None:
+            raise SymbolSyntaxError(f"unexpected character {text[pos]!r}", pos)
+        if m.lastgroup != "ws":
+            out.append(_Token(m.lastgroup, m.group(), pos))
+        pos = m.end()
+    out.append(_Token("end", "", len(text)))
+    return out
 
 
 class _ReferenceParser:
@@ -194,6 +227,57 @@ def test_parse_matches_reference_on_rendered_symbols():
             for s in (f, g, berezin(f * g.conj()), sharp(f, g), toeplitz_apply(f + g.conj(), f)):
                 text = format_symbol(s)
                 assert parse_symbol(text, n).terms == reference_parse(text, n).terms, text
+
+
+# -- exp arguments that repeat within one text -----------------------------------------
+
+E = "exp((0.25-0.5i)*z1 + 0.75*conj(z2) - 1)"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "exp(z1) + exp(z1)",
+        "exp(z1) - exp(z1)",
+        "exp(z1)*exp(z1)",
+        "z1*exp(z1) + exp(z1)",
+        "exp(z1) + z2*exp(z1)^3 - conj(exp(z1))*exp(z1)",
+        "-exp(z1) + 2*exp(z1) - exp( z1) + exp(z1 )*exp(\tz1)",
+        f"{E} + z1*{E} - 0.5i*z2^2*{E}*{E}",
+        "exp(K(1, 2i) - K(1, 2i) + z1) + exp(K(1, 2i) - K(1, 2i) + z1)",
+        "exp(exp(z1) - exp(z1) + z2) + exp(z2)*exp(exp(z1) - exp(z1) + z2)",
+        "exp(0*z1^2 + z1 + 0*exp(z2)) - exp(0*z1^2 + z1 + 0*exp(z2))",
+    ],
+)
+def test_repeated_exp_arguments_match_reference(text):
+    got = parse_symbol(text, 2)
+    assert list(got._map.items()) == list(reference_parse(text, 2)._map.items())
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "exp(z1^2) + exp(z1^2)",
+        "exp(z1^2 + exp(z2)) + exp(z1^2 + exp(z2))",
+        "exp(z1*exp(z2)) - exp(z1*exp(z2))",
+        "exp(z1 + exp(z2)*z1^2) + exp(z1 + exp(z2)*z1^2)",
+        "exp(z1 + z1^2*exp(-z2)) + exp(z1 + z1^2*exp(-z2))",
+        "exp(1e400) + exp(1e400)",
+        "exp(800) + exp(800)",
+        "exp(z1 z2) + exp(z1 z2)",
+        "exp(z3) + exp(z3)",
+        "exp() + exp()",
+        "exp(z1 + @) + exp(z1 + @)",
+        "z1 + exp(z1) + exp(z1) + (",
+        "exp(z1) + exp(z1",
+    ],
+)
+def test_repeated_invalid_exp_arguments_fail_as_reference(text):
+    with pytest.raises(SymbolSyntaxError) as want:
+        reference_parse(text, 2)
+    with pytest.raises(SymbolSyntaxError) as got:
+        parse_symbol(text, 2)
+    assert (got.value.message, got.value.position) == (want.value.message, want.value.position)
 
 
 # -- random expression trees against the Symbol algebra ---------------------------------
