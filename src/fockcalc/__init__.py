@@ -28,8 +28,11 @@ from .symbols import (
 from .toeplitz import (
     BasisEqualityReport,
     OpChain,
+    OperatorEqualityReport,
     brown_halmos_h,
     commutator_defect,
+    normal_form,
+    op_equal,
     op_equal_on_basis,
     toeplitz_apply,
 )
@@ -37,6 +40,7 @@ from .toeplitz import (
 __all__ = [
     "BasisEqualityReport",
     "OpChain",
+    "OperatorEqualityReport",
     "Symbol",
     "SymbolSyntaxError",
     "SymbolTerm",
@@ -55,6 +59,8 @@ __all__ = [
     "mi_enumerate",
     "mi_factorial",
     "monomial",
+    "normal_form",
+    "op_equal",
     "op_equal_on_basis",
     "operator_berezin",
     "parse_complex",

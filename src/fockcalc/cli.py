@@ -66,7 +66,10 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument(
                 "--suite", default="all", choices=SUITE_NAMES, help="suite name or 'all'"
             )
-            p.add_argument("--degree", type=int, default=DEFAULT_DEGREE, help="basis degree bound")
+            p.add_argument("--degree", type=int, default=DEFAULT_DEGREE, help=(
+                "degree bound of the basis sweep of shift-identity/shift-operator-on-basis;"
+                " every other chain identity is decided on the whole class"
+                " (cor-c4/high-dim-chain-matches-on-basis keeps a second sweep at degree 8)"))
             p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="suite random seed")
             p.add_argument("--tol", type=float, default=DEFAULT_TOL, help="residual tolerance")
         else:
@@ -172,6 +175,7 @@ def _verify(args) -> int:
     report = run_suite(args.suite, n=args.n, degree=args.degree, seed=args.seed, tol=args.tol)
     lines = [
         f"[{'pass' if c.passed else 'FAIL'}] {c.name} residual={c.residual:.3e} tol={c.tol:.3e}"
+        + (f" ({c.detail})" if c.detail and not c.passed else "")
         for c in report.cases
     ]
     lines.append(

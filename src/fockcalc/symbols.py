@@ -562,8 +562,13 @@ def relative_residual(s: Symbol, ref: Symbol) -> float:
     through the symbol s - ref, and ValueError if a coefficient overflows.
     """
     s._check_dim(ref)
+    return _residual(s._map, ref._map)
+
+
+def _residual(s: dict, ref: dict) -> float:
+    """relative_residual of the term maps s and ref."""
     mass: dict = {}
-    diff = _merge(dict(s._map), mass, [(key, -x) for key, x in ref._map.items()])
+    diff = _merge(dict(s), mass, [(key, -x) for key, x in ref.items()])
     diff = _drop_noise(_checked(diff), mass)
     norm = math.sqrt(sum(abs(diff[key]) ** 2 for key in _canonical_order(diff)))
-    return norm / max(1.0, ref.coeff_norm())
+    return norm / max(1.0, math.sqrt(sum(abs(x) ** 2 for x in ref.values())))

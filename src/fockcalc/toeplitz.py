@@ -11,16 +11,29 @@ acting on a holomorphic u,
     T u (z) = coef * (D^b v)(z + d),   v(w) = w^a exp(w.c) u(w),
 
 i.e. multiply by the holomorphic part, differentiate b times, then shift
-the argument by the anti-holomorphic exponential parameter.  T_phi is
+the argument by the anti-holomorphic exponential parameter.
+
+Actions keep this rule, since an action needs only the columns of its
+input's keys, which is cheaper than building the operator first.  T_phi is
 linear, so it is built one column per input key (a, c): T_phi applied to
 z^a exp(z.c), expanded from phi's terms per coordinate and merged into one
 term map.  An image T_phi u sums u's coefficients times the columns of its
 keys and is canonicalized once.  Columns, and the per-coordinate factors
-they are built from, are tabulated per comparison: one toeplitz_apply,
-OpChain.apply, basis_images pass or op_equal_on_basis call, whose basis
-elements and chains share them.  The class is invariant, so operator
-equalities are checked exactly on monomial bases: no finite-section
-truncation is ever involved.
+they are built from, are tabulated per call (toeplitz_apply, OpChain.apply,
+basis_images or op_equal_on_basis), shared by its basis elements and chains.
+
+Chain identities are decided on the normal form instead, since it is exact
+on the whole class.  By Leibniz's rule each operator of the class is
+
+    T u (z) = sum over (beta, e) of g_{beta,e}(z) (D^beta u)(z + e),
+
+with g_{beta,e} holomorphic in the class; `normal_form` keeps it as one
+term map keyed (a, beta, c, e), for the terms z^a exp(z.c) of g_{beta,e}.
+The form is unique (T exp(z.l) = exp(z.l) sum g_{beta,e}(z) l^beta
+exp(e.l), and the l^beta exp(e.l) are independent), so two operators agree
+on the class exactly when their forms agree (`op_equal`), and a product
+vanishes exactly when its form is empty.  The monomial sweep
+op_equal_on_basis, a necessary condition only, stays as a second check.
 
 Unboundedness of these operators is an analytic matter deliberately
 ignored here: computations are the densely-defined actions on the
@@ -29,14 +42,22 @@ invariant class.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from itertools import product
 from operator import add
 from typing import Iterator, Sequence
 
 from .indices import MultiIndex, mi_enumerate, mi_factorial
 from .sharp import sharp
 from .symbols import Symbol, _derivative_at, _drop_noise, _exp_factor, _expand, _in_range, _merge
-from .symbols import relative_residual
+from .symbols import _residual, relative_residual
+
+
+def _tidy(items) -> dict:
+    """The term map of the items, merged, without cancellation noise or zeros."""
+    mass: dict = {}
+    return {key: x for key, x in _drop_noise(_merge({}, mass, items), mass).items() if x}
 
 
 def _column(phi: Symbol, key: tuple, factors: dict) -> dict:
@@ -57,8 +78,7 @@ def _column(phi: Symbol, key: tuple, factors: dict) -> dict:
                 f = factors[args] = _derivative_at({}, *args)
             coordinate_factors.append(f)
         _expand(items, x * _exp_factor(d, e), coordinate_factors, e, czero)
-    mass: dict = {}
-    out = _drop_noise(_merge({}, mass, items), mass)
+    out = _tidy(items)
     if any(any(b) or any(d) for _, b, _, d in out):
         raise ValueError("toeplitz_apply produced a non-holomorphic result")
     return out
@@ -152,36 +172,119 @@ def _images(chain: OpChain, degree: int, columns: dict, factors: dict):
 
 
 def op_equal_on_basis(
-    a: OpChain, b: OpChain | Sequence[OpChain], degree: int = 6, tol: float = 1e-9
-) -> BasisEqualityReport | tuple[BasisEqualityReport, ...]:
+    a: OpChain, b: OpChain, degree: int = 6, tol: float = 1e-9
+) -> BasisEqualityReport:
     """Compare two chains on the normalized monomials z^alpha / sqrt(alpha!).
 
     The per-basis-element residual is the coefficient norm of the difference
     of the two images, relative to max(1, coefficient norm of the first
-    chain's image); the report carries the worst element.  For a sequence b
-    of chains, a's images are computed once and compared with each, and the
-    result is the tuple of their reports.  The chains share one table of
-    columns per symbol.
+    chain's image); the report carries the worst element.  The chains share
+    one table of columns per symbol.
     """
-    others = (b,) if isinstance(b, OpChain) else tuple(b)
-    for other in others:
-        if a.n != other.n:
-            raise ValueError(f"dimension mismatch: {a.n} vs {other.n}")
+    if a.n != b.n:
+        raise ValueError(f"dimension mismatch: {a.n} vs {b.n}")
     columns: dict = {}
     factors: dict = {}
-    worst = [0.0] * len(others)
-    worst_alpha: list[MultiIndex] = [(0,) * a.n] * len(others)
-    images = [_images(c, degree, columns, factors) for c in (a, *others)]
-    for (alpha, ra), *rest in zip(*images):
-        for i, (_, rb) in enumerate(rest):
-            res = relative_residual(rb, ra)
-            if res > worst[i]:
-                worst[i] = res
-                worst_alpha[i] = alpha
-    reports = tuple(
-        BasisEqualityReport(w, alpha, degree, tol, w <= tol) for w, alpha in zip(worst, worst_alpha)
-    )
-    return reports[0] if isinstance(b, OpChain) else reports
+    worst, worst_alpha = 0.0, (0,) * a.n
+    images = (_images(c, degree, columns, factors) for c in (a, b))
+    for (alpha, ra), (_, rb) in zip(*images):
+        res = relative_residual(rb, ra)
+        if res > worst:
+            worst, worst_alpha = res, alpha
+    return BasisEqualityReport(worst, worst_alpha, degree, tol, worst <= tol)
+
+
+def _compose(pairs) -> list:
+    """The items of the sum of A o B over the pairs of entries ((a, beta, c, d), x) of A
+    and ((a2, gamma, c2, e), y) of B: by Leibniz's rule, for each kappa <= beta,
+    (gamma + kappa, d + e) -> x z^a exp(z.c) C(beta, kappa) (D^(beta-kappa) h)(z + d)
+    with h(w) = y w^a2 exp(w.c2).  memo maps the arguments of a coordinate to its
+    factor {(i, gamma + kappa): coefficient of z^i}."""
+    items: list = []
+    memo: dict = {}
+    for ((a, beta, c, d), x), ((a2, gamma, c2, e), y) in pairs:
+        factors = []
+        for args in zip(a, a2, c2, beta, d, gamma):
+            f = memo.get(args)
+            if f is None:
+                m, m2, c2k, p, s, g = args
+                f = {}
+                for k in range(p + 1):
+                    _derivative_at(f, m2, c2k, p - k, s, math.comb(p, k), g + k)
+                f = memo[args] = {(i + m, k): v for (i, k), v in f.items()}
+            factors.append(f)
+        params = _in_range(tuple(map(add, c, c2))), _in_range(tuple(map(add, d, e)))
+        _expand(items, x * y * _exp_factor(d, c2), factors, *params)
+    return items
+
+
+def normal_form(*chains: OpChain) -> dict:
+    """The normal form {(a, beta, c, e): coef} of the sum of the chains' operators.
+
+    A symbol term coef z^a conj(z)^b exp(z.c + conj(z).d) is the entry (b, d) -> coef
+    composed with the multiplier z^a exp(z.c); a chain composes its symbols' forms
+    from the right.  The zero operator has the empty map.
+    """
+    if len({chain.n for chain in chains}) > 1:
+        raise ValueError("the chains of a sum must share one dimension")
+    items: list = []
+    for chain in chains:
+        zero, czero = (0,) * chain.n, (0j,) * chain.n
+        form = {(zero, zero, czero, czero): 1}  # the identity
+        for phi in reversed(chain.symbols):
+            parts = [
+                (((zero, b, czero, d), x), ((a, zero, c, czero), 1))
+                for (a, b, c, d), x in phi._map.items()
+            ]
+            form = _tidy(_compose(product(_tidy(_compose(parts)).items(), form.items())))
+        items += form.items()
+    return _tidy(items)
+
+
+@dataclass(frozen=True)
+class OperatorEqualityReport:
+    """Outcome of comparing two operators on their normal forms.
+
+    worst_key is the (beta, e) of the entry with the largest residual, None
+    when every entry agrees; terms holds the term counts of both entries there.
+    """
+
+    max_residual: float
+    worst_key: tuple | None
+    terms: tuple[int, int]
+    tol: float
+    passed: bool
+
+    @property
+    def where(self) -> str:
+        """The worst entry as text; empty when every entry agrees."""
+        if self.worst_key is None:
+            return ""
+        beta, e = (", ".join(format(x, "g") for x in v) for v in self.worst_key)
+        return f"worst entry beta=({beta}) e=({e}): {self.terms[0]} vs {self.terms[1]} terms"
+
+
+def op_equal(a: OpChain | dict, b: OpChain | dict, tol: float = 1e-9) -> OperatorEqualityReport:
+    """Decide T_a = T_b on the whole class; a and b are chains or normal forms.
+
+    The residual of an entry (beta, e) is relative_residual(b's entry, a's entry),
+    a missing entry being the zero symbol; the report carries the largest.  Entries
+    are visited in a fixed order (a's keys, then b's others), so it is reproducible.
+    """
+    if isinstance(a, OpChain) and isinstance(b, OpChain) and a.n != b.n:
+        raise ValueError(f"dimension mismatch: {a.n} vs {b.n}")
+    ea: dict = {}
+    eb: dict = {}
+    for x, entries in ((a, ea), (b, eb)):
+        for key, y in (x if isinstance(x, dict) else normal_form(x)).items():
+            entries.setdefault((key[1], key[3]), {})[key] = y
+    worst, worst_key, terms = 0.0, None, (0, 0)
+    for key in {**ea, **eb}:
+        x, y = ea.get(key, {}), eb.get(key, {})
+        res = _residual(y, x)
+        if res > worst:
+            worst, worst_key, terms = res, key, (len(x), len(y))
+    return OperatorEqualityReport(worst, worst_key, terms, tol, worst <= tol)
 
 
 def brown_halmos_h(f: Symbol, g: Symbol, u: Symbol, v: Symbol) -> Symbol:

@@ -1,10 +1,12 @@
 import json
 import random
+import re
 import shlex
 from pathlib import Path
 
 import pytest
 
+from fockcalc import suites as suites_module
 from fockcalc.cli import _build_parser, main
 from fockcalc.dsl import format_symbol
 from fockcalc.indices import mi_enumerate
@@ -254,6 +256,21 @@ def test_cli_verify_exit_one_on_case_failure(capsys, monkeypatch):
     assert main(["verify", "--suite", "lemma-l1"]) == 1
     out = capsys.readouterr().out
     assert "FAIL" in out
+
+
+def test_cli_fail_line_names_the_worst_normal_form_entry(capsys, monkeypatch):
+    # no product of the suite clears this floor, so every nonzero-pair case fails
+    monkeypatch.setattr(suites_module, "SEPARATION_FLOOR", 1e6)
+    assert main(["verify", "--suite", "zero-product"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    failed = [line for line in lines if line.startswith("[FAIL]")]
+    assert len(failed) == 10
+    # the zero operator has no entry where the product has one
+    pattern = r" \(worst entry beta=\(\d+(, \d+)?\) e=\(.*\): 0 vs [1-9]\d* terms\)$"
+    assert all(re.search(pattern, line) for line in failed)
+    assert not any("worst entry" in line for line in lines if not line.startswith("[FAIL]"))
+    assert main(["verify", "--suite", "zero-product", "--json"]) == 1
+    assert "worst entry" not in capsys.readouterr().out
 
 
 def test_cli_verify_json_deterministic(capsys, tmp_path):

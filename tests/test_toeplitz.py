@@ -1,8 +1,13 @@
 import math
 import random
+from itertools import product
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from test_toeplitz_reference import _symbol, reference_chain_apply
 
+from fockcalc import suites as suites_module
 from fockcalc import toeplitz as toeplitz_module
 from fockcalc.berezin import berezin, operator_berezin
 from fockcalc.gaussian import fock_inner, symbol_integral
@@ -10,6 +15,8 @@ from fockcalc.indices import mi_enumerate, mi_factorial
 from fockcalc.sharp import sharp
 from fockcalc.suites import random_holo, random_polynomial, run_suite, unit_disc
 from fockcalc.symbols import (
+    Symbol,
+    SymbolTerm,
     constant,
     coordinate,
     exponential,
@@ -23,6 +30,8 @@ from fockcalc.toeplitz import (
     basis_images,
     brown_halmos_h,
     commutator_defect,
+    normal_form,
+    op_equal,
     op_equal_on_basis,
     toeplitz_apply,
 )
@@ -206,27 +215,30 @@ def test_one_comparison_builds_each_column_once(monkeypatch):
     }
 
 
-def test_brown_halmos_builds_the_product_images_once(monkeypatch):
-    calls = _counting(monkeypatch, "_images")
-    report = run_suite("brown-halmos", n=2, degree=4)
+def test_brown_halmos_builds_each_product_form_once(monkeypatch):
+    forms, compared = [], []
+    orig_form, orig_equal = toeplitz_module.normal_form, suites_module.op_equal
+
+    def counted_form(*chains):
+        out = orig_form(*chains)
+        forms.append((chains, out))
+        return out
+
+    def counted_equal(a, b, *rest):
+        compared.append(a)
+        return orig_equal(a, b, *rest)
+
+    for module in (toeplitz_module, suites_module):
+        monkeypatch.setattr(module, "normal_form", counted_form)
+    monkeypatch.setattr(suites_module, "op_equal", counted_equal)
+    report = run_suite("brown-halmos", n=2)
     assert report.passed
-    products = [chain for chain, *_ in calls if len(chain.symbols) == 2]
-    assert len(products) == 5 == len(set(products))
-    # each instance compares its product chain with h and with h + 1
-    assert len(calls) == 3 * len(products)
-
-
-def test_a_sequence_of_chains_gives_the_separate_reports():
-    rng = random.Random(31)
-    f, g, u, v = (random_polynomial(rng, 2, 3, radius=0.5) for _ in range(4))
-    phi, psi = f + g.conj(), u + v.conj()
-    h = brown_halmos_h(f, g, u, v)
-    others = (OpChain([h]), OpChain([h + 1]), OpChain([psi, phi]))
-    reps = op_equal_on_basis(OpChain([phi, psi]), others, degree=5, tol=1e-9)
-    assert reps == tuple(
-        op_equal_on_basis(OpChain([phi, psi]), other, degree=5, tol=1e-9) for other in others
-    )
-    assert reps[0].passed and not reps[1].passed
+    products = [out for chains, out in forms if len(chains[0].symbols) == 2]
+    assert len(products) == 5
+    # each instance compares its one product form with h and with h + 1
+    assert len(compared) == 2 * len(products)
+    assert all(x is form for form, x in zip(products, compared[::2]))
+    assert all(x is form for form, x in zip(products, compared[1::2]))
 
 
 def test_factored_chain_matches_sharp_symbol():
@@ -239,6 +251,140 @@ def test_factored_chain_matches_sharp_symbol():
             OpChain([f, g.conj()]), OpChain([sharp(f, g)]), degree=6, tol=1e-9
         )
         assert rep.passed, rep
+
+
+# -- normal forms -----------------------------------------------------------------
+
+
+def normal_form_apply(form, u):
+    """sum of g_{beta,e}(z) (D^beta u)(z + e) over the entries of form, through
+    Symbol products, derivatives and shifts only."""
+    n = u.n
+    zero_n, czero = (0,) * n, (0j,) * n
+    out = zero(n)
+    entries: dict = {}
+    for (a, beta, c, e), x in form.items():
+        entries.setdefault((beta, e), []).append(SymbolTerm(x, a, zero_n, c, czero))
+    for (beta, e), terms in entries.items():
+        g = Symbol(n, terms)
+        du = u
+        for k, order in enumerate(beta):
+            for _ in range(order):
+                du = du.dz(k + 1)
+        out = out + g * du.shift(tuple(-x for x in e))
+    return out
+
+
+def _composed(left, right):
+    """The normal form of left o right, from the two normal forms."""
+    pairs = product(left.items(), right.items())
+    return toeplitz_module._tidy(toeplitz_module._compose(pairs))
+
+
+@st.composite
+def _chain_case(draw):
+    """A chain of the reference test's random mixed symbols and a holomorphic input.
+
+    A form grows with the product of its symbols' forms (a chain of three such
+    symbols at n = 3 has about 2e4 entries), so chains are shorter at larger n.
+    """
+    n = draw(st.integers(1, 3))
+    chain = OpChain([draw(_symbol(n, False)) for _ in range(draw(st.integers(1, 4 - n)))])
+    return chain, draw(_symbol(n, True))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_chain_case())
+def test_normal_form_applies_like_the_chain(case):
+    chain, u = case
+    got = normal_form_apply(normal_form(chain), u)
+    assert relative_residual(got, chain.apply(u)) <= 1e-12
+    assert relative_residual(got, reference_chain_apply(chain, u)) <= 1e-12
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 2).flatmap(lambda n: st.tuples(*[_symbol(n, False)] * 3)))
+def test_composition_is_associative(symbols):
+    x, y, w = (normal_form(OpChain([phi])) for phi in symbols)
+    rep = op_equal(_composed(_composed(x, y), w), _composed(x, _composed(y, w)))
+    assert rep.max_residual <= 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(_chain_case(), st.data())
+def test_every_entry_is_checked(case, data):
+    chain, _ = case
+    form = normal_form(chain)
+    assume(form)
+    keys = list(form)
+    for index in data.draw(st.lists(st.integers(0, len(keys) - 1), min_size=1, max_size=3)):
+        key, x = keys[index], form[keys[index]]
+        entry = (key[1], key[3])
+        deleted = {k: y for k, y in form.items() if k != key}
+        perturbed = {**form, key: x + 1e-6}
+        for changed in (deleted, perturbed):
+            for rep in (op_equal(form, changed), op_equal(changed, form)):
+                assert rep.max_residual > 0 and rep.worst_key == entry
+
+
+def _identity_and_non_identity_pairs(rng, n):
+    """(expected to be equal, chain, chain) instances of the suites' identities."""
+    f, g, u, v = (random_polynomial(rng, n, 3, radius=0.5) for _ in range(4))
+    phi, psi = f + g.conj(), u + v.conj()
+    h = brown_halmos_h(f, g, u, v)
+    yield True, OpChain([phi, psi]), OpChain([h])
+    yield False, OpChain([phi, psi]), OpChain([h + 1])
+    yield True, OpChain([f, g.conj()]), OpChain([sharp(f, g)])
+    z1 = coordinate(n, 1)
+    yield False, OpChain([z1, z1.conj()]), OpChain([z1.conj(), z1])
+    commute = commutator_defect(f, zero(n), zero(n), g).is_zero
+    yield commute, OpChain([f, g.conj()]), OpChain([g.conj(), f])
+    ones = (1 + 0j,) * n
+    e1 = exponential(n, c=ones)
+    h, v, g = (random_polynomial(rng, n, 2, radius=0.5) for _ in range(3))
+    k = h.conj() * v.shift(ones).conj() * e1 * g
+    yield True, OpChain([h.conj() * e1, v.conj() * g]), OpChain([k])
+
+
+def test_normal_form_decides_as_the_basis_sweep():
+    rng = random.Random(43)
+    for n in (1, 2, 3):
+        for _ in range(2):
+            for equal, a, b in _identity_and_non_identity_pairs(rng, n):
+                rep = op_equal(a, b)
+                assert rep.passed == op_equal_on_basis(a, b, 6).passed == equal
+                assert rep.passed == (rep.worst_key is None)
+
+
+def test_a_vanishing_factor_gives_the_empty_form():
+    rng = random.Random(47)
+    for n in (1, 2, 3):
+        phi = random_holo(rng, n, 2, exp_prob=0.5) * random_holo(rng, n, 2).conj()
+        for chain in (OpChain([zero(n), phi]), OpChain([phi, zero(n)])):
+            assert normal_form(chain) == {}
+            assert op_equal({}, chain).max_residual == 0.0
+        assert normal_form(OpChain([phi])) != {}
+
+
+def test_a_sum_of_chains_is_one_form():
+    rng = random.Random(53)
+    f, g, u, v = (random_polynomial(rng, 2, 2, radius=0.5) for _ in range(4))
+    chains = OpChain([f, g.conj()]), OpChain([u, v.conj()])
+    assert op_equal(normal_form(*chains), OpChain([sharp(f, g) + sharp(u, v)])).max_residual == 0.0
+    w = random_holo(rng, 2, 3, exp_prob=0.5)
+    expected = chains[0].apply(w) + chains[1].apply(w)
+    assert relative_residual(normal_form_apply(normal_form(*chains), w), expected) <= 1e-12
+    with pytest.raises(ValueError, match="one dimension"):
+        normal_form(OpChain([f]), OpChain([coordinate(1, 1)]))
+
+
+def test_a_failing_comparison_names_its_entry():
+    rep = op_equal(OpChain([Z.conj(), Z]), OpChain([Z, Z.conj()]))
+    # T_conj(z) T_z u = u + z u' and T_z T_conj(z) u = z u': the identity entry differs
+    assert (rep.max_residual, rep.worst_key, rep.terms) == (1.0, ((0,), (0j,)), (1, 0))
+    assert not rep.passed
+    assert rep.where == "worst entry beta=(0) e=(0+0j): 1 vs 0 terms"
+    assert op_equal(OpChain([Z]), OpChain([Z])).where == ""
 
 
 # -- product symbol -------------------------------------------------------------
