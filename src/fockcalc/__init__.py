@@ -12,7 +12,6 @@ from .berezin import berezin, operator_berezin
 from .dsl import SymbolSyntaxError, format_symbol, parse_complex, parse_symbol
 from .gaussian import fock_inner, gaussian_moment, symbol_integral
 from .indices import mi_binomial, mi_enumerate, mi_factorial
-from .oracle import lemma_l1_check, quad_integral
 from .sharp import sharp
 from .symbols import (
     Symbol,
@@ -74,3 +73,12 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    """The oracles, which load numpy, are imported on first use (PEP 562)."""
+    if name in ("lemma_l1_check", "quad_integral"):
+        from . import oracle
+
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

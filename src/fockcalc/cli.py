@@ -17,7 +17,6 @@ import sys
 from .berezin import berezin
 from .dsl import SymbolSyntaxError, _fmt_coef, format_symbol, parse_complex, parse_symbol
 from .gaussian import symbol_integral
-from .oracle import quad_integral
 from .sharp import sharp
 from .suites import (
     DEFAULT_DEGREE,
@@ -153,8 +152,10 @@ def _calculate(args) -> int:
         value = _fmt_coef(symbol_integral(s))
         _emit(args, json.dumps({"moment": value}), value)
     else:  # oracle
+        from . import oracle  # numpy loads on first oracle use
+
         (s,) = _symbols(args, 1)
-        quad = quad_integral(s, args.order)
+        quad = oracle.quad_integral(s, args.order)
         closed = symbol_integral(s)
         diff = abs(quad - closed)
         payload = {

@@ -6,10 +6,17 @@ productions.  Each node evaluates to a term map {(a, b, c, d): coef}:
 sums and negations accumulate in place, and products use the one product
 rule of `symbols`; both drop the cancellation noise of the keys they
 merge.  The result is canonicalized once, plus once for each component
-of K, so a sum of many terms parses in linear time.  An exp argument is
-lowered from its term map directly: each of its constant, z_k and
-conj(z_k) slots takes at most one term, so no order is needed.  Each
-parse keeps a memo of its lowered exp factors, keyed on the source text
+of K, so a sum of many terms parses in linear time.  Most factors are
+one term: a term folds its run of single-term factors into one running
+key and coefficient, checking at each `*` what the product rule checks,
+and z_k^e is one key.  A complex literal "(x+yi)", the form of every
+coefficient and exp parameter of rendered text, is one constant, made by
+the merge and noise rule of the sum it spells.  Both give the bits of the
+general path, which stays for a factor of several terms, whose product
+can cancel terms, and for the power of any base but a coordinate.  An exp
+argument is lowered from its term map directly: each of its constant,
+z_k and conj(z_k) slots takes at most one term, so no order is needed.
+Each parse keeps a memo of its lowered exp factors, keyed on the source text
 of the argument: the tokenizer emits a repeated argument as one "memo"
 token, and the parser hands out a copy of the stored factor.  Every
 diagnostic on bad notation, including an exponent after `^` above
@@ -18,9 +25,10 @@ of `symbols` and a product (`*` or `^`) whose parameter parts leave that
 range, is a SymbolSyntaxError carrying the character position;
 arithmetic that leaves the float range raises a plain ValueError.
 
-The printer renders each monomial z^a conj(z)^b once per process, from a
-bounded cache, and splits an exponent above MAX_EXPONENT into factors the
-parser accepts (z1^20*z1 for z1^21).
+The printer renders each term with one %-format, from a bounded cache of
+monomial texts z^a conj(z)^b and a per-call one of exp factors, and
+splits an exponent above MAX_EXPONENT into factors the parser accepts
+(z1^20*z1 for z1^21).
 """
 
 from __future__ import annotations
@@ -30,6 +38,7 @@ import functools
 import math
 import re
 from bisect import bisect_right
+from operator import add
 from typing import NamedTuple
 
 from .indices import MAX_EXPONENT
@@ -40,6 +49,7 @@ from .symbols import (
     _checked,
     _conj,
     _drop_noise,
+    _in_range,
     _merge,
     _product,
     _snap,
@@ -130,6 +140,11 @@ class _Parser:
         self.i += 1
         return tok
 
+    def at(self, ops: str) -> bool:
+        """Whether the current token is one of the operators in ops."""
+        tok = self.tokens[self.i]
+        return tok.kind == "op" and tok.text in ops
+
     def expect_op(self, op: str) -> _Token:
         tok = self.peek()
         if tok.kind != "op" or tok.text != op:
@@ -139,14 +154,14 @@ class _Parser:
     # expr := ["-"] term {("+"|"-") term}
     def expr(self) -> dict:
         negate = False
-        if self.peek().kind == "op" and self.peek().text == "-":
+        if self.at("-"):
             self.advance()
             negate = True
         out = self.term()
         if negate:
             out = {key: x * _MINUS_ONE for key, x in out.items()}
         mass: dict = {}
-        while self.peek().kind == "op" and self.peek().text in "+-":
+        while self.at("+-"):
             op = self.advance().text
             rhs = self.term().items()
             _merge(out, mass, rhs if op == "+" else [(k, x * _MINUS_ONE) for k, x in rhs])
@@ -155,22 +170,29 @@ class _Parser:
     # term := factor {"*" factor}
     def term(self) -> dict:
         out = self.factor()
-        while self.peek().kind == "op" and self.peek().text == "*":
-            pos = self.advance().pos
-            out = self._mul(out, self.factor(), pos)
+        while self.at("*"):
+            if len(out) == 1:
+                out = self._fold(out)
+            else:
+                pos = self.advance().pos
+                out = self._mul(out, self.factor(), pos)
         return out
 
     # factor := base ["^" nat]
     def factor(self) -> dict:
+        tok = self.peek()
         out = self.base()
-        if self.peek().kind == "op" and self.peek().text == "^":
+        if self.at("^"):
             pos = self.advance().pos
-            k = self.nat()
-            if k > MAX_EXPONENT:
-                raise SymbolSyntaxError(f"exponent {k} is above the cap {MAX_EXPONENT}", pos)
+            e = self.nat()
+            if e > MAX_EXPONENT:
+                raise SymbolSyntaxError(f"exponent {e} is above the cap {MAX_EXPONENT}", pos)
+            if tok.kind == "coord":  # z_k^e is one key, with e at slot k
+                ((a, b, c, d), x), = out.items()
+                return {(tuple([e * j for j in a]), b, c, d): x}
             # x^0 is 1 for every x, so x is checked before it can be dropped
             base, out = _checked(out), self._constant(1)
-            for _ in range(k):
+            for _ in range(e):
                 out = self._mul(out, base, pos)
         return out
 
@@ -185,18 +207,13 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "number":
             self.advance()
-            value = float(tok.text.rstrip("i"))
-            if not math.isfinite(value):
-                raise SymbolSyntaxError(f"number {tok.text!r} is out of float range", tok.pos)
-            return self._constant(1j * value if tok.text.endswith("i") else value)
+            return self._constant(self._number(tok))
         if tok.kind == "coord":
             self.advance()
             k = int(tok.text[1:])
             if not 1 <= k <= self.n:
-                raise SymbolSyntaxError(
-                    f"coordinate z{k} out of range 1..{self.n}", tok.pos
-                )
-            a = tuple(1 if j == k - 1 else 0 for j in range(self.n))
+                raise SymbolSyntaxError(f"coordinate z{k} out of range 1..{self.n}", tok.pos)
+            a = self.zero[: k - 1] + (1,) + self.zero[k:]
             return {(a, self.zero, self.czero, self.czero): 1 + 0j}
         if tok.kind == "name":
             if tok.text == "conj":
@@ -222,7 +239,7 @@ class _Parser:
                 self.advance()
                 self.expect_op("(")
                 args = [self._const_arg()]
-                while self.peek().kind == "op" and self.peek().text == ",":
+                while self.at(","):
                     self.advance()
                     args.append(self._const_arg())
                 self.expect_op(")")
@@ -234,6 +251,9 @@ class _Parser:
                 return self._exponential([w.conjugate() for w in args], self.czero, 1 + 0j, tok.pos)
             raise SymbolSyntaxError(f"unknown identifier {tok.text!r}", tok.pos)
         if tok.kind == "op" and tok.text == "(":
+            literal = self._literal()
+            if literal is not None:
+                return literal
             self.advance()
             inner = self.expr()
             self.expect_op(")")
@@ -242,8 +262,58 @@ class _Parser:
             f"expected a value, found {tok.text or 'end of input'!r}", tok.pos
         )
 
+    def _number(self, tok: _Token) -> complex:
+        value = float(tok.text.rstrip("i"))
+        if not math.isfinite(value):
+            raise SymbolSyntaxError(f"number {tok.text!r} is out of float range", tok.pos)
+        return complex(1j * value if tok.text.endswith("i") else value)
+
+    def _literal(self) -> dict | None:
+        """The constant "([-]x+y)" or "([-]x-y)", x and y numbers, at the current "(", as
+        expr builds it, without a descent per number; None for any other parenthesis."""
+        t = self.tokens
+        i = self.i + 1 + (t[self.i + 1].text == "-")
+        # each token is read only after the one before it is known not to be the end
+        if not (t[i].kind == "number" and t[i + 1].text in ("+", "-")
+                and t[i + 2].kind == "number" and t[i + 3].text == ")"):
+            return None
+        self.i = i + 4
+        x, y = self._number(t[i]), self._number(t[i + 2])
+        x = x * _MINUS_ONE if t[i - 1].text == "-" else x
+        y = y * _MINUS_ONE if t[i + 1].text == "-" else y
+        key, mass = (self.zero, self.zero, self.czero, self.czero), {}
+        return _drop_noise(_merge({key: x}, mass, [(key, y)]), mass)
+
     def _constant(self, value: complex) -> dict:
         return {(self.zero, self.zero, self.czero, self.czero): complex(value)}
+
+    def _fold(self, out: dict) -> dict:
+        """out, one term, times the factors after it in the term.  While they are single
+        terms too, exponents and parameters add and the coefficient multiplies, with the
+        checks of _mul at each "*"; a factor of other terms goes through _mul and ends it."""
+        zero, czero = self.zero, self.czero
+        ((a, b, c, d), x), = out.items()
+        while self.at("*"):
+            pos = self.advance().pos
+            rhs = self.factor()
+            if len(rhs) != 1:
+                return self._mul({(a, b, c, d): x}, rhs, pos)
+            ((a2, b2, c2, d2), y), = rhs.items()
+            a = a if a2 is zero else tuple(map(add, a, a2))
+            b = b if b2 is zero else tuple(map(add, b, b2))
+            if c2 is not czero or d2 is not czero:  # only then can a parameter leave the range
+                c, d = tuple(map(add, c, c2)), tuple(map(add, d, d2))
+                try:
+                    for v in {c, d}:  # in the order of _product's check
+                        _in_range(v)
+                except ValueError as exc:
+                    raise SymbolSyntaxError(str(exc), pos) from None
+            elif c is not czero or d is not czero:  # adding czero turns -0.0 into 0.0
+                c, d = tuple(map(add, c, c2)), tuple(map(add, d, d2))
+            x *= y
+            if not abs(x.real) < 2.0**1023 > abs(x.imag):  # below, |x| is finite
+                _checked({(a, b, c, d): x})
+        return {(a, b, c, d): x}
 
     def _exponential(self, c, d, coef: complex, pos: int) -> dict:
         """coef * exp(z.c + conj(z).d); SymbolSyntaxError at pos for a parameter out of range."""
@@ -326,6 +396,8 @@ def parse_symbol(text: str, n: int) -> Symbol:
 # 12 digits would cap the round trip near 5e-12 relative (0.5 ulp of a
 # p-digit decimal is 0.5*10^{1-p}); 14 holds the 1e-12 tolerance with margin
 _REAL, _IMAG, _COMPLEX = "%.14g", "%.14gi", "(%.14g%s%.14gi)"
+#: a term of format_symbol: sign text, coefficient and its "*"-led factors
+_TERM, _COMPLEX_TERM = "%s%.14g%s%s", "%s(%.14g%s%.14gi)%s"
 
 #: 10^E for E = -12..3, as the nearest doubles; a grid value has E >= -13
 _DECADES = [float(f"1e{e}") for e in range(-12, 4)]
@@ -366,64 +438,59 @@ def _fmt_param(v: complex) -> str:
     return f"({_fmt_param_part(v.real)}{sign}{_fmt_param_part(abs(v.imag))}i)"
 
 
-def _join_sum(parts: list[str]) -> str:
-    return parts[0] + "".join([" - " + p[1:] if p[0] == "-" else " + " + p for p in parts[1:]])
-
-
 def _fmt_linear(c, d) -> str:
-    parts = []
-    for k, v in enumerate(c):
-        if v != 0:
-            parts.append(_fmt_product(v, f"z{k + 1}", _fmt_param))
-    for k, v in enumerate(d):
-        if v != 0:
-            parts.append(_fmt_product(v, f"conj(z{k + 1})", _fmt_param))
-    return _join_sum(parts)
-
-
-def _fmt_product(coef: complex, factors_text: str, fmt=_fmt_coef) -> str:
-    if not factors_text:
-        return fmt(coef)
-    if coef == 1:
-        return factors_text
-    if coef == -1:
-        return "-" + factors_text
-    return fmt(coef) + "*" + factors_text
+    """z.c + conj(z).d as a sum of its nonzero terms, each parameter in its shortest text."""
+    out = ""
+    for template, v in [("z%d", c), ("conj(z%d)", d)]:
+        for k, x in enumerate(v, 1):
+            if x != 0:
+                name = template % k
+                text = name if x == 1 else "-" + name if x == -1 else f"{_fmt_param(x)}*{name}"
+                out += text if not out else " - " + text[1:] if text[0] == "-" else " + " + text
+    return out
 
 
 @functools.lru_cache(maxsize=4096)
 def _fmt_monomial(a: tuple, b: tuple) -> str:
-    """z^a conj(z)^b as "*"-joined factors, "" for 1; an exponent above MAX_EXPONENT
-    is split into factors of at most MAX_EXPONENT, which the parser's ^ accepts."""
-    factors = []
-    for template, exponents in (("z%d", a), ("conj(z%d)", b)):
+    """z^a conj(z)^b as factors, each after a "*", "" for 1; an exponent above
+    MAX_EXPONENT is split into factors of at most MAX_EXPONENT, which the parser's ^
+    accepts."""
+    out = ""
+    for template, exponents in (("*z%d", a), ("*conj(z%d)", b)):
         for k, e in enumerate(exponents, 1):
             base = template % k
             while e > MAX_EXPONENT:
-                factors.append(f"{base}^{MAX_EXPONENT}")
+                out += f"{base}^{MAX_EXPONENT}"
                 e -= MAX_EXPONENT
             if e == 1:
-                factors.append(base)
+                out += base
             elif e > 1:
-                factors.append(f"{base}^{e}")
-    return "*".join(factors)
+                out += f"{base}^{e}"
+    return out
 
 
 def format_symbol(s: Symbol) -> str:
     """Deterministic canonical rendering; parses back to the same symbol."""
     if s.is_zero:
         return "0"
-    exps: dict = {}  # (c, d) -> its rendered exp(...) factor, "" when both vanish
-    parts = []
-    for (a, b, c, d), coef in s._map.items():
-        text = _fmt_monomial(a, b)
+    exps: dict = {}  # (c, d) -> its rendered "*exp(...)" factor, "" when both vanish
+    out = []
+    plus, minus = "", "-"  # the sign texts of the first term; later terms are spaced
+    for (a, b, c, d), v in s._map.items():
         e = exps.get((c, d))
         if e is None:
-            e = exps[c, d] = f"exp({_fmt_linear(c, d)})" if any(c) or any(d) else ""
-        if e:
-            text = f"{text}*{e}" if text else e
-        parts.append(_fmt_product(coef, text))
-    return _join_sum(parts)
+            e = exps[c, d] = f"*exp({_fmt_linear(c, d)})" if any(c) or any(d) else ""
+        factors = _fmt_monomial(a, b) + e
+        x, y = v.real, v.imag
+        if factors and (v == 1 or v == -1):
+            out.append((minus if x < 0 else plus) + factors[1:])
+        elif y == 0 or x == 0:  # real or imaginary: its sign is the term's sign
+            w = x if y == 0 else y
+            out.append(_TERM % (minus if w < 0 else plus, abs(w), "i" if y else "", factors))
+        else:
+            out.append(_COMPLEX_TERM % (plus, x, "-" if y < 0 else "+", abs(y), factors))
+        plus, minus = " + ", " - "
+    return "".join(out)
 
 
 def parse_complex(text: str) -> complex:

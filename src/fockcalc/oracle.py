@@ -2,7 +2,11 @@
 
 Nothing on the main computational path calls into this module; it exists
 so that the closed forms in `gaussian`, `berezin` and `sharp` can be
-checked against numerics that share no code with them.
+checked against numerics that share no code with them.  It is the only
+user of numpy, and it is imported on first use: by `fockcalc.quad_integral`
+and `fockcalc.lemma_l1_check`, by the suites that call it and by the CLI's
+`oracle` command.  So the calculator commands never load numpy, and
+`verify` loads it when its first oracle case runs.
 
 quad_integral integrates a symbol against the normalized Gaussian by
 tensor Gauss-Hermite quadrature on R^{2n}.  Exponential parameters must

@@ -146,6 +146,11 @@ class BasisEqualityReport:
     tol: float
     passed: bool
 
+    @property
+    def where(self) -> str:
+        """The worst basis element as text."""
+        return f"worst basis element alpha=({', '.join(map(str, self.worst_alpha))})"
+
 
 def basis_images(chain: OpChain, degree: int) -> Iterator[tuple[MultiIndex, Symbol]]:
     """Yield (alpha, chain applied to z^alpha / sqrt(alpha!)) for |alpha| <= degree.

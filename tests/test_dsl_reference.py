@@ -280,6 +280,67 @@ def test_repeated_invalid_exp_arguments_fail_as_reference(text):
     assert (got.value.message, got.value.position) == (want.value.message, want.value.position)
 
 
+# -- edge cases of the single-term fold and the complex-literal shortcut -------------------
+
+
+@pytest.mark.parametrize(
+    "text, n",
+    [
+        ("(0-0i)", 1),
+        ("(-0-0i)*z1", 1),
+        ("(1-0i)", 1),
+        ("(-1e-300+1e-300i)", 1),
+        ("((1+2i))", 1),
+        ("(1+2i+3)", 1),
+        ("(1+2i)^2", 1),
+        ("z1^0", 2),
+        ("(-0.5-0i)*z2^3*conj(z1)*z2*exp((0.5-0.25i)*z1 - 0.5i*conj(z2))", 2),
+        ("conj(exp(0.5*z1 + 0.25i*z2))*z1", 2),
+        ("z1*conj(exp(0.5*z1))*z2", 2),
+    ],
+)
+def test_edge_cases_match_reference_to_the_bit(text, n):
+    # repr shows the sign of every zero, in the keys and the coefficients
+    assert repr(list(parse_symbol(text, n)._map.items())) == repr(
+        list(reference_parse(text, n)._map.items())
+    )
+
+
+@pytest.mark.parametrize(
+    "text, n",
+    [("z3", 2), ("(1e308+1e308i)*10", 1), ("(1e400+1i)", 1), ("(1+1e400i)*z1", 1), ("(2-3i", 1)],
+)
+def test_edge_case_errors_match_reference(text, n):
+    with pytest.raises(ValueError) as want:
+        reference_parse(text, n)
+    with pytest.raises(ValueError) as got:
+        parse_symbol(text, n)
+    assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
+
+
+@pytest.mark.parametrize(
+    "text, pos",
+    [
+        ("z1^21", 2),
+        ("exp(3000*z1)*exp(2000*z1)", 12),
+        ("exp(-3000i*conj(z1))*z2*exp(-2000i*conj(z1))", 23),
+    ],
+)
+def test_power_cap_and_parameter_sum_errors_carry_the_operator(text, pos):
+    # the Symbol algebra raises these without a position; the parser names the "^" or
+    # the "*" at pos
+    with pytest.raises(ValueError) as want:
+        reference_parse(text, 2)
+    with pytest.raises(SymbolSyntaxError) as got:
+        parse_symbol(text, 2)
+    assert got.value.position == pos
+    if text[pos] == "^":
+        assert "21 is above the cap 20" in str(want.value)
+        assert got.value.message == "exponent 21 is above the cap 20"
+    else:
+        assert got.value.message == str(want.value)
+
+
 # -- random expression trees against the Symbol algebra ---------------------------------
 
 #: exponential parameters and exp's constant part: quarter steps, so sums stay exact and

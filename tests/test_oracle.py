@@ -1,11 +1,15 @@
 import cmath
 import random
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.polynomial.hermite import hermgauss
 
+import fockcalc
 from fockcalc import oracle
 from fockcalc.dsl import parse_symbol
 from fockcalc.gaussian import gaussian_moment, symbol_integral
@@ -213,3 +217,30 @@ def test_fourier_converges_as_grid_grows():
         coarse = lemma_l1_check(f, g, grid_half_width=5.0, grid_points=100)
         fine = lemma_l1_check(f, g, grid_half_width=10.0, grid_points=200)
         assert fine <= coarse / 2.0
+
+
+NUMPY_FREE = """
+import sys
+import fockcalc, fockcalc.cli, fockcalc.suites
+assert "numpy" not in sys.modules, "loaded by the imports"
+for command in ("parse", "berezin"):
+    assert fockcalc.cli.main([command, "-s", "(0.5-1i)*z1^2*conj(z1) + exp(z1)", "--n", "1"]) == 0
+assert "numpy" not in sys.modules, "loaded by the calculator"
+assert abs(fockcalc.quad_integral(fockcalc.constant(1, 2)) - 2) < 1e-12
+assert "numpy" in sys.modules
+names = {}
+exec("from fockcalc import *", names)
+assert names["quad_integral"] is fockcalc.oracle.quad_integral
+assert names["lemma_l1_check"] is fockcalc.oracle.lemma_l1_check
+"""
+
+
+def test_numpy_loads_only_with_the_oracles():
+    src = str(Path(fockcalc.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", NUMPY_FREE],
+        env={"PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -273,6 +273,19 @@ def test_cli_fail_line_names_the_worst_normal_form_entry(capsys, monkeypatch):
     assert "worst entry" not in capsys.readouterr().out
 
 
+def test_cli_fail_line_names_the_worst_basis_element(capsys):
+    # the sweep's rounding residual, about 4e-13, is above this tolerance
+    argv = ["verify", "--suite", "shift-identity", "--tol", "1e-300"]
+    assert main(argv) == 1
+    lines = capsys.readouterr().out.splitlines()
+    failed = [line for line in lines if line.startswith("[FAIL]")]
+    assert [line.split()[1] for line in failed] == ["shift-operator-on-basis"]
+    assert re.search(r" \(worst basis element alpha=\(\d+, \d+\)\)$", failed[0])
+    assert not any("worst basis" in line for line in lines if not line.startswith("[FAIL]"))
+    assert main([*argv, "--json"]) == 1
+    assert "worst basis" not in capsys.readouterr().out
+
+
 def test_cli_verify_json_deterministic(capsys, tmp_path):
     out1 = tmp_path / "r1.json"
     out2 = tmp_path / "r2.json"
