@@ -2,28 +2,32 @@
 
 The grammar, with the rules on exp arguments, kernels and complex
 literals, is `docs/grammar.ebnf`; the parser methods follow its
-productions.  Each node evaluates to a term map {(a, b, c, d): coef}:
-sums and negations accumulate in place, and products use the one product
-rule of `symbols`; both drop the cancellation noise of the keys they
-merge.  The result is canonicalized once, plus once for each component
-of K, so a sum of many terms parses in linear time.  Most factors are
-one term: a term folds its run of single-term factors into one running
-key and coefficient, checking at each `*` what the product rule checks,
-and z_k^e is one key.  A complex literal "(x+yi)", the form of every
-coefficient and exp parameter of rendered text, is one constant, made by
-the merge and noise rule of the sum it spells.  Both give the bits of the
-general path, which stays for a factor of several terms, whose product
-can cancel terms, and for the power of any base but a coordinate.  An exp
-argument is lowered from its term map directly: each of its constant,
-z_k and conj(z_k) slots takes at most one term, so no order is needed.
-Each parse keeps a memo of its lowered exp factors, keyed on the source text
-of the argument: the tokenizer emits a repeated argument as one "memo"
-token, and the parser hands out a copy of the stored factor.  Every
-diagnostic on bad notation, including an exponent after `^` above
-indices.MAX_EXPONENT (20), an exp or K parameter part outside the range
-of `symbols` and a product (`*` or `^`) whose parameter parts leave that
-range, is a SymbolSyntaxError carrying the character position;
-arithmetic that leaves the float range raises a plain ValueError.
+productions.  The parser reads the source text directly: it holds one
+current token and scans the next with one regex match when it moves on.
+Each node evaluates to a term map {(a, b, c, d): coef}: sums and
+negations accumulate in place, and products use the one product rule of
+`symbols`; both drop the cancellation noise of the keys they merge.  The
+result is canonicalized once, plus once for each component of K, so a sum
+of many terms parses in linear time.  Most factors are one term: a term
+folds its run of single-term factors into one running key and
+coefficient, checking at each `*` what the product rule checks, and z_k^e
+is one key.  A complex literal "(x+yi)", the form of every coefficient and
+exp parameter of rendered text, is read by one regex at its "(" as one
+constant, made by the merge and noise rule of the sum it spells.  Both give
+the bits of the general path, which stays for a factor of several terms,
+whose product can cancel terms, and for the power of any base but a
+coordinate.  An exp argument is lowered from its term map directly: each
+of its constant, z_k and conj(z_k) slots takes at most one term, so no
+order is needed.  Each parse keeps a memo of its lowered exp factors, keyed
+on the source text of the argument; at a repeated argument the parser
+jumps to its ")" and hands out a copy of the stored factor.  Brackets nest
+at most MAX_NESTING deep.  Every diagnostic on bad notation, including an
+exponent after `^` above indices.MAX_EXPONENT (20), an exp or K parameter
+part outside the range of `symbols` and a product (`*` or `^`) whose
+parameter parts leave that range, is a SymbolSyntaxError carrying the
+character position; a character that starts no token is reported before
+any other error, by a rescan of the text once the parse has failed.
+Arithmetic that leaves the float range raises a plain ValueError.
 
 The printer renders each term with one %-format, from a bounded cache of
 monomial texts z^a conj(z)^b and a per-call one of exp factors, and
@@ -39,7 +43,6 @@ import math
 import re
 from bisect import bisect_right
 from operator import add
-from typing import NamedTuple
 
 from .indices import MAX_EXPONENT
 from .symbols import (
@@ -55,6 +58,10 @@ from .symbols import (
     _snap,
 )
 
+#: brackets, of any kind, open around one point of the text; deeper nesting
+#: is a syntax error rather than a RecursionError
+MAX_NESTING = 100
+
 
 class SymbolSyntaxError(ValueError):
     """Parse failure with a character position into the source text."""
@@ -65,106 +72,92 @@ class SymbolSyntaxError(ValueError):
         self.position = position
 
 
+_NUMBER = r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?i?"
+
+#: whitespace, then one token; "end" at the end of the text, "bad" for a character
+#: that starts no token
 _TOKEN_RE = re.compile(
-    r"""(?P<ws>\s+)
-      | (?P<number>(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?i?)
+    rf"""\s*(?:
+        (?P<number>{_NUMBER})
       | (?P<coord>z\d+)
       | (?P<name>[A-Za-z_][A-Za-z_0-9]*)
       | (?P<op>[-+*^(),])
-    """,
-    re.VERBOSE,
+      | (?P<end>\Z)
+      | (?P<bad>.)
+    )""",
+    re.VERBOSE | re.DOTALL,
 )
+
+#: the tokens "(", ["-"], number, "+" or "-", number, ")" of a complex literal
+_LITERAL_RE = re.compile(rf"\(\s*(-?)\s*({_NUMBER})\s*([-+])\s*({_NUMBER})\s*\)")
 
 #: negation multiplies by this, as Symbol.scale(-1) does
 _MINUS_ONE = complex(-1)
 
 
-class _Token(NamedTuple):
-    kind: str  # number | coord | name | op | memo | end
-    text: str
-    pos: int
-
-
 def _closing(text: str, start: int) -> int:
-    """Index of the ")" that closes a "(" just before text[start], or -1."""
-    end = text.find(")", start)
-    while end >= 0 and text.count("(", start, end) != text.count(")", start, end):
-        end = text.find(")", end + 1)
-    return end
-
-
-def _tokenize(text: str) -> list[_Token]:
-    """The tokens of text.  An exp argument whose source text occurred before is one
-    token ("memo", argument text, its position).  Its first occurrence tokenized
-    without error, and the parser reaches the memo token only after it parsed and
-    lowered that occurrence without error, so skipping the text hides no diagnostic."""
-    out = []
-    seen = set()  # source texts of the exp arguments so far
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise SymbolSyntaxError(f"unexpected character {text[pos]!r}", pos)
-        kind = m.lastgroup
-        if kind != "ws":
-            out.append(_Token(kind, m.group(), pos))
-        pos = m.end()
-        if kind == "op" and out[-1].text == "(" and len(out) > 1 and out[-2].text == "exp":
-            end = _closing(text, pos)
-            if end >= 0:
-                arg = text[pos:end]
-                if arg in seen:
-                    out.append(_Token("memo", arg, pos))
-                    pos = end
-                else:
-                    seen.add(arg)
-    out.append(_Token("end", "", len(text)))
-    return out
+    """Index of the ")" that closes a "(" just before text[start], or -1; one pass,
+    counting the "(" between each ")" and the one before it."""
+    depth = 0
+    while (end := text.find(")", start)) >= 0:
+        depth += text.count("(", start, end)
+        if not depth:
+            return end
+        depth -= 1
+        start = end + 1
+    return -1
 
 
 class _Parser:
     def __init__(self, text: str, n: int):
         self.text = text
-        self.tokens = _tokenize(text)
-        self.i = 0
         self.n = n
         self.zero = (0,) * n
         self.czero = (0j,) * n
         self.exps: dict[str, dict] = {}  # exp argument source text -> its lowered factor
+        self.depth = 0  # brackets open around the current expression
+        # the current token is kind (a group of _TOKEN_RE), tok (its text) and pos;
+        # the next one is scanned from end
+        self.end = 0
+        self.advance()
 
-    def peek(self) -> _Token:
-        return self.tokens[self.i]
-
-    def advance(self) -> _Token:
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
+    def advance(self) -> None:
+        m = _TOKEN_RE.match(self.text, self.end)
+        self.kind = m.lastgroup
+        self.tok = m[self.kind]
+        self.end = m.end()
+        self.pos = self.end - len(self.tok)
 
     def at(self, ops: str) -> bool:
         """Whether the current token is one of the operators in ops."""
-        tok = self.tokens[self.i]
-        return tok.kind == "op" and tok.text in ops
+        return self.kind == "op" and self.tok in ops
 
-    def expect_op(self, op: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != "op" or tok.text != op:
-            raise SymbolSyntaxError(f"expected {op!r}, found {tok.text or 'end of input'!r}", tok.pos)
-        return self.advance()
+    def expect_op(self, op: str) -> int:
+        """The position of the current token, which must be op, moving past it."""
+        if self.kind != "op" or self.tok != op:
+            raise SymbolSyntaxError(f"expected {op!r}, found {self.tok or 'end of input'!r}", self.pos)
+        pos = self.pos
+        self.advance()
+        return pos
 
     # expr := ["-"] term {("+"|"-") term}
     def expr(self) -> dict:
-        negate = False
-        if self.at("-"):
+        if self.depth > MAX_NESTING:
+            raise SymbolSyntaxError(f"brackets nested deeper than {MAX_NESTING}", self.pos)
+        self.depth += 1
+        negate = self.at("-")
+        if negate:
             self.advance()
-            negate = True
         out = self.term()
         if negate:
             out = {key: x * _MINUS_ONE for key, x in out.items()}
         mass: dict = {}
         while self.at("+-"):
-            op = self.advance().text
+            op = self.tok
+            self.advance()
             rhs = self.term().items()
             _merge(out, mass, rhs if op == "+" else [(k, x * _MINUS_ONE) for k, x in rhs])
+        self.depth -= 1
         return _drop_noise(out, mass)
 
     # term := factor {"*" factor}
@@ -174,20 +167,20 @@ class _Parser:
             if len(out) == 1:
                 out = self._fold(out)
             else:
-                pos = self.advance().pos
+                pos = self.expect_op("*")
                 out = self._mul(out, self.factor(), pos)
         return out
 
     # factor := base ["^" nat]
     def factor(self) -> dict:
-        tok = self.peek()
+        coord = self.kind == "coord"
         out = self.base()
         if self.at("^"):
-            pos = self.advance().pos
+            pos = self.expect_op("^")
             e = self.nat()
             if e > MAX_EXPONENT:
                 raise SymbolSyntaxError(f"exponent {e} is above the cap {MAX_EXPONENT}", pos)
-            if tok.kind == "coord":  # z_k^e is one key, with e at slot k
+            if coord:  # z_k^e is one key, with e at slot k
                 ((a, b, c, d), x), = out.items()
                 return {(tuple([e * j for j in a]), b, c, d): x}
             # x^0 is 1 for every x, so x is checked before it can be dropped
@@ -197,46 +190,48 @@ class _Parser:
         return out
 
     def nat(self) -> int:
-        tok = self.peek()
-        if tok.kind != "number" or not tok.text.isdigit():
-            raise SymbolSyntaxError("expected a non-negative integer", tok.pos)
+        if self.kind != "number" or not self.tok.isdigit():
+            raise SymbolSyntaxError("expected a non-negative integer", self.pos)
+        e = int(self.tok)
         self.advance()
-        return int(tok.text)
+        return e
 
     def base(self) -> dict:
-        tok = self.peek()
-        if tok.kind == "number":
+        kind, tok, pos = self.kind, self.tok, self.pos
+        if kind == "number":
             self.advance()
-            return self._constant(self._number(tok))
-        if tok.kind == "coord":
+            return self._constant(self._number(tok, pos))
+        if kind == "coord":
             self.advance()
-            k = int(tok.text[1:])
+            k = int(tok[1:])
             if not 1 <= k <= self.n:
-                raise SymbolSyntaxError(f"coordinate z{k} out of range 1..{self.n}", tok.pos)
+                raise SymbolSyntaxError(f"coordinate z{k} out of range 1..{self.n}", pos)
             a = self.zero[: k - 1] + (1,) + self.zero[k:]
             return {(a, self.zero, self.czero, self.czero): 1 + 0j}
-        if tok.kind == "name":
-            if tok.text == "conj":
-                self.advance()
+        if kind == "name":
+            self.advance()
+            if tok == "conj":
                 self.expect_op("(")
                 inner = self.expr()
                 self.expect_op(")")
                 return _conj(inner)
-            if tok.text == "exp":
-                self.advance()
-                start = self.expect_op("(").pos + 1
-                arg = self.peek()
-                if arg.kind == "memo":  # parsed and lowered before, without error
+            if tok == "exp":
+                start = self.expect_op("(") + 1
+                end = _closing(self.text, start)
+                arg = self.text[start:end]
+                if end >= 0 and arg in self.exps:
+                    # parsed and lowered before without error, so the skipped text,
+                    # the same as there, hides no diagnostic
+                    self.end = end
                     self.advance()
                     self.expect_op(")")
-                    out = self.exps[arg.text]
+                    out = self.exps[arg]
                 else:
                     inner = self.expr()
-                    end = self.expect_op(")").pos
-                    out = self.exps[self.text[start:end]] = self._lower_exp(inner, tok.pos)
+                    arg = self.text[start : self.expect_op(")")]
+                    out = self.exps[arg] = self._lower_exp(inner, pos)
                 return dict(out)  # expr merges into its first term's map in place
-            if tok.text == "K":
-                self.advance()
+            if tok == "K":
                 self.expect_op("(")
                 args = [self._const_arg()]
                 while self.at(","):
@@ -245,12 +240,12 @@ class _Parser:
                 self.expect_op(")")
                 if len(args) != self.n:
                     raise SymbolSyntaxError(
-                        f"K takes {self.n} components here, found {len(args)}", tok.pos
+                        f"K takes {self.n} components here, found {len(args)}", pos
                     )
                 # the reproducing kernel exp(z . conj(w))
-                return self._exponential([w.conjugate() for w in args], self.czero, 1 + 0j, tok.pos)
-            raise SymbolSyntaxError(f"unknown identifier {tok.text!r}", tok.pos)
-        if tok.kind == "op" and tok.text == "(":
+                return self._exponential([w.conjugate() for w in args], self.czero, 1 + 0j, pos)
+            raise SymbolSyntaxError(f"unknown identifier {tok!r}", pos)
+        if self.at("("):
             literal = self._literal()
             if literal is not None:
                 return literal
@@ -258,29 +253,25 @@ class _Parser:
             inner = self.expr()
             self.expect_op(")")
             return inner
-        raise SymbolSyntaxError(
-            f"expected a value, found {tok.text or 'end of input'!r}", tok.pos
-        )
+        raise SymbolSyntaxError(f"expected a value, found {tok or 'end of input'!r}", pos)
 
-    def _number(self, tok: _Token) -> complex:
-        value = float(tok.text.rstrip("i"))
+    def _number(self, text: str, pos: int) -> complex:
+        value = float(text.rstrip("i"))
         if not math.isfinite(value):
-            raise SymbolSyntaxError(f"number {tok.text!r} is out of float range", tok.pos)
-        return complex(1j * value if tok.text.endswith("i") else value)
+            raise SymbolSyntaxError(f"number {text!r} is out of float range", pos)
+        return complex(1j * value if text.endswith("i") else value)
 
     def _literal(self) -> dict | None:
         """The constant "([-]x+y)" or "([-]x-y)", x and y numbers, at the current "(", as
         expr builds it, without a descent per number; None for any other parenthesis."""
-        t = self.tokens
-        i = self.i + 1 + (t[self.i + 1].text == "-")
-        # each token is read only after the one before it is known not to be the end
-        if not (t[i].kind == "number" and t[i + 1].text in ("+", "-")
-                and t[i + 2].kind == "number" and t[i + 3].text == ")"):
+        m = _LITERAL_RE.match(self.text, self.pos)
+        if m is None:
             return None
-        self.i = i + 4
-        x, y = self._number(t[i]), self._number(t[i + 2])
-        x = x * _MINUS_ONE if t[i - 1].text == "-" else x
-        y = y * _MINUS_ONE if t[i + 1].text == "-" else y
+        x, y = self._number(m[2], m.start(2)), self._number(m[4], m.start(4))
+        x = x * _MINUS_ONE if m[1] else x
+        y = y * _MINUS_ONE if m[3] == "-" else y
+        self.end = m.end()
+        self.advance()
         key, mass = (self.zero, self.zero, self.czero, self.czero), {}
         return _drop_noise(_merge({key: x}, mass, [(key, y)]), mass)
 
@@ -294,7 +285,7 @@ class _Parser:
         zero, czero = self.zero, self.czero
         ((a, b, c, d), x), = out.items()
         while self.at("*"):
-            pos = self.advance().pos
+            pos = self.expect_op("*")
             rhs = self.factor()
             if len(rhs) != 1:
                 return self._mul({(a, b, c, d): x}, rhs, pos)
@@ -332,10 +323,10 @@ class _Parser:
         return _checked(out)
 
     def _const_arg(self) -> complex:
-        tok = self.peek()
+        pos = self.pos
         value = Symbol._of(self.n, list(self.expr().items()))
         if not value.is_constant:
-            raise SymbolSyntaxError("kernel components must be constants", tok.pos)
+            raise SymbolSyntaxError("kernel components must be constants", pos)
         return value.constant_value()
 
     def _lower_exp(self, arg: dict, pos: int) -> dict:
@@ -383,10 +374,19 @@ def parse_symbol(text: str, n: int) -> Symbol:
     if not text.strip():
         raise SymbolSyntaxError("empty input", 0)
     p = _Parser(text, n)
-    out = p.expr()
-    tok = p.peek()
-    if tok.kind != "end":
-        raise SymbolSyntaxError(f"unexpected trailing input {tok.text!r}", tok.pos)
+    try:
+        out = p.expr()
+        if p.kind != "end":
+            raise SymbolSyntaxError(f"unexpected trailing input {p.tok!r}", p.pos)
+    except ValueError:
+        # a parse that succeeds has read every character or its copy in a repeated
+        # exp argument, so only a failed one can have stopped short of one that
+        # starts no token, which is reported first
+        for m in _TOKEN_RE.finditer(text):
+            if m.lastgroup == "bad":
+                pos = m.start("bad")
+                raise SymbolSyntaxError(f"unexpected character {text[pos]!r}", pos) from None
+        raise
     return Symbol._of(n, list(out.items()))
 
 

@@ -35,8 +35,8 @@ A Symbol holds n and its canonical term map {(a, b, c, d): coef}, in
 canonical order; `terms`, the public tuple of SymbolTerm, is built from it
 on each access.  The package's own operations read these maps, hand items
 ((a, b, c, d), coef) once to the private constructor Symbol._of, and never
-write a symbol's map.  `_product` is the one product rule, for
-Symbol.__mul__ and for the text parser in `dsl`.
+write a symbol's map.  `_product` is the one product rule, one path for
+maps of any size, for Symbol.__mul__ and for the text parser in `dsl`.
 
 Only this closed class is representable: no power series, no essential
 singularities.  General symbols of at-most-Gaussian growth exist beyond it,
@@ -442,13 +442,6 @@ def _product(s: dict, t: dict) -> dict:
     parameters add exactly below 2^13, and ValueError is raised for a sum out of
     range.  Coefficients are not checked here.
     """
-    if len(s) == 1 and len(t) == 1:  # one pair: no merging, so no noise
-        ((a, b, c, d), x), = s.items()
-        ((a2, b2, c2, d2), y), = t.items()
-        c, d = tuple(map(add, c, c2)), tuple(map(add, d, d2))
-        for v in {c, d}:  # the set, and so the order, of the loop below
-            _in_range(v)
-        return {(tuple(map(add, a, a2)), tuple(map(add, b, b2)), c, d): x * y}
     mass: dict = {}
     pairs = (
         (

@@ -1,12 +1,20 @@
 import random
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fockcalc import berezin, symbols
-from fockcalc.dsl import SymbolSyntaxError, format_symbol, parse_complex, parse_symbol
+from fockcalc import berezin, sharp, symbols
+from fockcalc.dsl import (
+    MAX_NESTING,
+    SymbolSyntaxError,
+    format_symbol,
+    parse_complex,
+    parse_symbol,
+)
+from fockcalc.suites import random_holo
 from fockcalc.symbols import (
     Symbol,
     SymbolTerm,
@@ -199,6 +207,65 @@ def test_parse_fuzz_raises_only_value_errors_with_positions(text, n):
         assert 0 <= exc.position <= len(text), (text, exc.position)
     except ValueError:
         pass
+
+
+@pytest.mark.parametrize(
+    "text, pos",
+    [
+        ("(" * 2000 + "1" + ")" * 2000, 101),
+        ("conj(" * 600 + "z1" + ")" * 600, 505),
+        ("exp(" * 2000 + "z1" + ")" * 2000, 404),
+    ],
+    ids=["parentheses", "conj", "exp"],
+)
+def test_deep_nesting_is_a_syntax_error(text, pos):
+    with pytest.raises(SymbolSyntaxError, match=f"nested deeper than {MAX_NESTING}") as err:
+        parse_symbol(text, 1)
+    assert err.value.position == pos
+
+
+def test_nesting_up_to_the_cap_parses():
+    # each of these nests its brackets MAX_NESTING deep, through the most frames per level
+    for open_, close in (("(", ")"), ("1*(", ")"), ("conj(-2*", ")"), ("K(0*", ")")):
+        text = open_ * MAX_NESTING + "0" + close * MAX_NESTING
+        parse_symbol(text, 1)
+        with pytest.raises(SymbolSyntaxError, match="nested deeper"):
+            parse_symbol(open_ + text + close, 1)
+
+
+def _best_parse_time(text: str, n: int) -> float:
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        parse_symbol(text, n)
+        times.append(time.perf_counter() - start)
+    return min(times)
+
+
+def test_long_exp_argument_parses_in_linear_time():
+    # 20,000 affine terms; the signs of each coordinate's terms alternate, so its
+    # parameter stays in range
+    terms = "".join(
+        f"{' - ' if k // 2 % 2 else ' + '}(0.{k}-1i)*conj(z{1 + k % 2})" for k in range(20000)
+    )
+    body = terms[3:]
+    assert len(body) > 400_000
+    assert _best_parse_time(f"exp({body})", 2) < 3 * _best_parse_time(f"({body})", 2)
+
+
+def test_parse_peak_memory_stays_small():
+    rng = random.Random(31)
+    f, g = (random_holo(rng, 3, 6, max_terms=3, blocks=3) for _ in range(2))
+    text = format_symbol(sharp(f, g) * f)
+    assert len(text) > 75_000
+    parse_symbol(text, 3)  # warm-up: state built once per process is not the parse's
+    tracemalloc.start()
+    try:
+        parse_symbol(text, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 500_000
 
 
 def test_trailing_input_rejected():

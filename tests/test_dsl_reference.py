@@ -25,6 +25,7 @@ from fockcalc import berezin, format_symbol, parse_symbol, sharp, toeplitz_apply
 from fockcalc.dsl import SymbolSyntaxError
 from fockcalc.suites import random_holo
 from fockcalc.symbols import Symbol, constant, coordinate, exponential, kernel
+from test_dsl import FUZZ_TOKENS
 
 # -- frozen reference ----------------------------------------------------------------
 
@@ -278,6 +279,29 @@ def test_repeated_invalid_exp_arguments_fail_as_reference(text):
     with pytest.raises(SymbolSyntaxError) as got:
         parse_symbol(text, 2)
     assert (got.value.message, got.value.position) == (want.value.message, want.value.position)
+
+
+# -- characters that start no token ------------------------------------------------------
+
+
+@settings(max_examples=400, deadline=500)
+@given(
+    st.lists(st.sampled_from(FUZZ_TOKENS + ["$", "\t", "."]), max_size=24).map("".join),
+    st.integers(1, 3),
+)
+def test_bad_character_is_reported_before_any_other_error(text, n):
+    # the reference tokenizes the whole text before it parses
+    try:
+        _tokenize(text)
+    except SymbolSyntaxError as want:
+        with pytest.raises(SymbolSyntaxError) as got:
+            parse_symbol(text, n)
+        assert (got.value.message, got.value.position) == (want.message, want.position)
+        return
+    try:
+        parse_symbol(text, n)
+    except ValueError as exc:
+        assert "unexpected character" not in str(exc)
 
 
 # -- edge cases of the single-term fold and the complex-literal shortcut -------------------

@@ -195,6 +195,12 @@ def test_cli_exit_codes(capsys, tmp_path):
     capsys.readouterr()
 
 
+def test_cli_deep_nesting_exits_two_with_one_line(capsys):
+    assert main(["parse", "-s", "(" * 2000 + "1" + ")" * 2000, "--n", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "brackets nested deeper than" in err
+
+
 SYMBOL_FLAGS = {"--n", "-s", "--symbol", "--json", "--out"}
 CLI_FLAGS = {
     "parse": SYMBOL_FLAGS | {"--at"},
