@@ -95,11 +95,12 @@ _LITERAL_RE = re.compile(rf"\(\s*(-?)\s*({_NUMBER})\s*([-+])\s*({_NUMBER})\s*\)"
 _MINUS_ONE = complex(-1)
 
 
-def _closing(text: str, start: int) -> int:
-    """Index of the ")" that closes a "(" just before text[start], or -1; one pass,
-    counting the "(" between each ")" and the one before it."""
+def _closing(text: str, start: int, stop: int) -> int:
+    """Index of the ")" that closes a "(" just before text[start], or -1 if none
+    does before text[stop]; one pass, counting the "(" between each ")" and the
+    one before it."""
     depth = 0
-    while (end := text.find(")", start)) >= 0:
+    while (end := text.find(")", start, stop)) >= 0:
         depth += text.count("(", start, end)
         if not depth:
             return end
@@ -115,6 +116,7 @@ class _Parser:
         self.zero = (0,) * n
         self.czero = (0j,) * n
         self.exps: dict[str, dict] = {}  # exp argument source text -> its lowered factor
+        self.longest = 0  # length of the longest key of exps
         self.depth = 0  # brackets open around the current expression
         # the current token is kind (a group of _TOKEN_RE), tok (its text) and pos;
         # the next one is scanned from end
@@ -217,9 +219,9 @@ class _Parser:
                 return _conj(inner)
             if tok == "exp":
                 start = self.expect_op("(") + 1
-                end = _closing(self.text, start)
-                arg = self.text[start:end]
-                if end >= 0 and arg in self.exps:
+                # only an argument no longer than a stored one can be found
+                end = _closing(self.text, start, start + self.longest + 1) if self.exps else -1
+                if end >= 0 and (arg := self.text[start:end]) in self.exps:
                     # parsed and lowered before without error, so the skipped text,
                     # the same as there, hides no diagnostic
                     self.end = end
@@ -230,6 +232,7 @@ class _Parser:
                     inner = self.expr()
                     arg = self.text[start : self.expect_op(")")]
                     out = self.exps[arg] = self._lower_exp(inner, pos)
+                    self.longest = max(self.longest, len(arg))
                 return dict(out)  # expr merges into its first term's map in place
             if tok == "K":
                 self.expect_op("(")

@@ -14,9 +14,17 @@ stay below modulus 2 so the Gaussian still dominates the integrand on the
 quadrature range.  Without an explicit order, the order is DEFAULT_ORDER[n]
 up to degree DEGREE_BASE and grows by one per degree above it, up to 64: a
 degree-18 integrand with parameters near 2 is off by 1.9e-9 at order 24 and
-by 8e-14 at order 28.  At n = 2 the grid is evaluated in blocks of a fixed
-number of points, so memory does not grow with the order.  The rule of each
-order is computed once and cached, as read-only arrays.
+by 8e-14 at order 28.  The measure and every term z^a conj(z)^b
+exp(z.c + conj(z).d) factor over coordinates, so the tensor rule is, reordered,
+a sum over terms of the coefficient times one order x order sum per
+coordinate; the order^(2n) grid is never formed.  There, at z = x_i + i x_j,
+exp(c z + d conj(z)) = exp((c + d) x_i) exp(i (c - d) x_j) folds into the
+weights, u = w exp((c + d) x) and v = w exp(i (c - d) x), and the sum is
+u^T P v / pi with P = z^a conj(z)^b.  The read-only tables of z^k are cached
+per (order, k), at most POWER_TABLES of them; conj(z)^k is the conjugate.
+Powers stay on the 2-D grid: expanding (x + iy)^a (x - iy)^b into one-axis
+sums with binomial coefficients could amplify rounding by 2^((a + b) / 2).
+The rule of each order is computed once and cached, as read-only arrays.
 
 lemma_l1_check reconstructs the sharp product of holomorphic f, g through
 the inverse Fourier transform route: with Q(z, w) = f(z) * g-reflected(w),
@@ -51,8 +59,8 @@ DEFAULT_ORDER = {1: 40, 2: 24}
 #: the highest integrand degree that the default orders are kept for
 DEGREE_BASE = 14
 MAX_ORDER = 64
-#: grid points evaluated at once at n = 2 (24^3, one z1 row at order 24)
-BLOCK_POINTS = 24**3
+#: z^k tables kept at once, one per (order, k)
+POWER_TABLES = 32
 PARAM_BOUND = 2.0
 MIN_GRID_POINTS = 64
 
@@ -97,6 +105,27 @@ def _rule(order: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
+@lru_cache(maxsize=POWER_TABLES)
+def _power(order: int, k: int) -> np.ndarray:
+    """z^k on the order x order grid z = x_i + i x_j, read-only since it is shared."""
+    x, _ = _rule(order)
+    p = (x[:, None] + 1j * x[None, :]) ** k
+    p.flags.writeable = False
+    return p
+
+
+def _factor(order: int, a: int, b: int, c: complex, d: complex) -> complex:
+    """pi^-1 sum_ij w_i w_j z^a conj(z)^b exp(c z + d conj(z)) at z = x_i + i x_j."""
+    x, w = _rule(order)
+    u = w * np.exp((c + d) * x)
+    v = w * np.exp(1j * (c - d) * x)
+    p = _power(order, a) * np.conj(_power(order, b)) if b else _power(order, a)
+    # u^T (P v): two sums of order terms round like the dense grid's pairwise
+    # sum, where one running sum of order^2 terms rounds a little worse
+    pv = np.einsum("ij,j->i", p, v, optimize=False)
+    return complex(np.einsum("i,i->", u, pv, optimize=False)) / math.pi
+
+
 def quad_integral(s: Symbol, order: int | None = None) -> complex:
     """Gauss-Hermite approximation of the Gaussian integral of a symbol."""
     n = s.n
@@ -108,22 +137,13 @@ def quad_integral(s: Symbol, order: int | None = None) -> complex:
         raise ValueError(f"quadrature order must be between 1 and {MAX_ORDER}")
     _check_params(s, PARAM_BOUND)
 
-    x, w = _rule(order)
-    if n == 1:
-        z = x[:, None] + 1j * x[None, :]
-        vals = _eval_on_arrays(s, [z])
-        return complex((w[:, None] * w[None, :] * vals).sum() / np.pi)
-
-    # n == 2: z1 nodes in blocks of at most BLOCK_POINTS grid points, so that
-    # memory does not grow with the order
-    z = (x[:, None] + 1j * x[None, :]).ravel()
-    ww = (w[:, None] * w[None, :]).ravel()
-    step = max(1, BLOCK_POINTS // z.size)
+    # the measure and each term factor over coordinates
     total = 0j
-    for k in range(0, z.size, step):
-        vals = _eval_on_arrays(s, [z[k:k + step, None], z[None, :]])
-        total += (ww[k:k + step, None] * ww[None, :] * vals).sum()
-    return complex(total / np.pi**2)
+    for key, x in s._map.items():
+        for a, b, c, d in zip(*key):
+            x *= _factor(order, a, b, c, d)
+        total += x
+    return total
 
 
 def lemma_l1_check(

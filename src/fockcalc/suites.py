@@ -89,9 +89,10 @@ class SuiteConfig:
     tol: float
 
 
-def _case_le(name: str, residual, tol: float) -> CaseResult:
-    """residual is a number or a report of op_equal(_on_basis), whose `where` is the detail."""
-    detail, residual = getattr(residual, "where", ""), getattr(residual, "max_residual", residual)
+def _case_le(name: str, residual, tol: float, detail: str = "") -> CaseResult:
+    """residual is a number, with an optional detail, or a report of op_equal(_on_basis),
+    whose `where` is the detail."""
+    detail, residual = getattr(residual, "where", detail), getattr(residual, "max_residual", residual)
     return CaseResult(name, float(residual), float(tol), residual <= tol, detail)
 
 
@@ -493,18 +494,21 @@ def _moment_samples(seed: int):
 def _suite_moments_oracle(cfg: SuiteConfig) -> list[CaseResult]:
     from . import oracle
 
-    worst_closed = 0.0
-    worst_orders = 0.0
+    labels = ("closed", "order 40", "order 60")
+    rows = []  # (sample, its values under labels)
     for a, b, lam, mu in _moment_samples(cfg.seed):
         s = monomial(1, a, b=b) * exponential(1, c=lam, d=mu)
-        closed = gaussian_moment(a, b, lam, mu)
-        q40 = oracle.quad_integral(s, 40)
-        worst_closed = max(worst_closed, abs(closed - q40))
-        worst_orders = max(worst_orders, abs(q40 - oracle.quad_integral(s, 60)))
-    return [
-        _case_le("closed-form-matches-quadrature", worst_closed, 1e-6),
-        _case_le("quadrature-order-self-consistency", worst_orders, 1e-8),
-    ]
+        values = gaussian_moment(a, b, lam, mu), oracle.quad_integral(s, 40), oracle.quad_integral(s, 60)
+        rows.append(((a, b, lam, mu), values))
+    cases = []
+    for name, i, j, tol in (
+        ("closed-form-matches-quadrature", 0, 1, 1e-6),
+        ("quadrature-order-self-consistency", 1, 2, 1e-8),
+    ):
+        (a, b, (lam,), (mu,)), v = max(rows, key=lambda r: abs(r[1][i] - r[1][j]))
+        where = f"worst sample a={a} b={b} lam=({lam:.6g}) mu=({mu:.6g})"
+        cases.append(_case_le(name, abs(v[i] - v[j]), tol, f"{where}: {labels[i]} {v[i]} vs {labels[j]} {v[j]}"))
+    return cases
 
 
 def _suite_lemma_l1(cfg: SuiteConfig) -> list[CaseResult]:

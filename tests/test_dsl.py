@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fockcalc import berezin, sharp, symbols
+from fockcalc import berezin, dsl, sharp, symbols
 from fockcalc.dsl import (
     MAX_NESTING,
     SymbolSyntaxError,
@@ -242,15 +242,45 @@ def _best_parse_time(text: str, n: int) -> float:
     return min(times)
 
 
-def test_long_exp_argument_parses_in_linear_time():
+def _long_affine_sum() -> str:
     # 20,000 affine terms; the signs of each coordinate's terms alternate, so its
     # parameter stays in range
     terms = "".join(
         f"{' - ' if k // 2 % 2 else ' + '}(0.{k}-1i)*conj(z{1 + k % 2})" for k in range(20000)
     )
-    body = terms[3:]
+    return terms[3:]
+
+
+def test_long_exp_argument_parses_in_linear_time():
+    body = _long_affine_sum()
     assert len(body) > 400_000
     assert _best_parse_time(f"exp({body})", 2) < 3 * _best_parse_time(f"({body})", 2)
+
+
+def test_exp_memo_lookup_scans_no_further_than_its_longest_argument(monkeypatch):
+    windows = []  # characters each lookup may scan for its closing ")"
+
+    def counting(text, start, stop):
+        windows.append(min(stop, len(text)) - start)
+        return closing(text, start, stop)
+
+    closing = dsl._closing
+    monkeypatch.setattr(dsl, "_closing", counting)
+    body = _long_affine_sum()
+    # every "exp(" is entered before any argument is stored: no lookup scans
+    with pytest.raises(SymbolSyntaxError) as got:
+        parse_symbol("exp(" * 99 + body + ")" * 99, 2)
+    assert (got.value.message, got.value.position) == ("exp argument must not contain exp", 388)
+    assert windows == []
+    # "z1" is stored first, so each later lookup scans at most len("z1)") characters
+    with pytest.raises(SymbolSyntaxError) as got:
+        parse_symbol("exp(z1)*" + "conj(exp(" * 49 + body + "))" * 49, 2)
+    assert (got.value.message, got.value.position) == ("exp argument must not contain exp", 436)
+    assert len(windows) == 49 and sum(windows) == 49 * 3
+    # a hit still skips the argument
+    windows.clear()
+    assert parse_symbol(f"exp({body})*exp({body})", 2) == parse_symbol(f"exp({body})^2", 2)
+    assert len(windows) == 1 and windows[0] == len(body) + 1
 
 
 def test_parse_peak_memory_stays_small():

@@ -15,7 +15,7 @@ from fockcalc.dsl import parse_symbol
 from fockcalc.gaussian import gaussian_moment, symbol_integral
 from fockcalc.oracle import lemma_l1_check, quad_integral
 from fockcalc.sharp import sharp
-from fockcalc.suites import unit_disc
+from fockcalc.suites import random_holo, unit_disc
 from fockcalc.symbols import constant, coordinate, exponential, monomial
 
 ONE = constant(1, 1)
@@ -125,6 +125,47 @@ def test_two_dimensional_blocks_cover_the_grid():
         vals = oracle._eval_on_arrays(s, [z[:, None], z[None, :]])
         full = (ww[:, None] * ww[None, :] * vals).sum() / np.pi**2
         assert abs(quad_integral(s, order) - full) <= 1e-13 * abs(full)
+
+
+def _dense_quad(s, order):
+    """The tensor Gauss-Hermite sum on the dense order^(2n) grid: the formula
+    that quad_integral factors over coordinates.  At n = 2 it runs over one z1
+    node row at a time, so memory stays at order^3 points."""
+    x, w = hermgauss(order)
+    z = (x[:, None] + 1j * x[None, :]).ravel()
+    ww = (w[:, None] * w[None, :]).ravel()
+    if s.n == 1:
+        return (ww * oracle._eval_on_arrays(s, [z])).sum() / np.pi
+    total = 0j
+    for k in range(0, z.size, order):
+        vals = oracle._eval_on_arrays(s, [z[k:k + order, None], z[None, :]])
+        total += (ww[k:k + order, None] * ww[None, :] * vals).sum()
+    return total / np.pi**2
+
+
+@pytest.mark.parametrize("n, count", [(1, 40), (2, 6)])
+def test_quad_matches_the_dense_grid(n, count):
+    # (f + conj(g)) * f * conj(f), as calc-stream's Toeplitz check integrates:
+    # degree up to 18, exponential parameters up to modulus 2.  The factored
+    # sum reorders the dense one, so only rounding separates them.
+    rng = random.Random(19 + n)
+    for _ in range(count):
+        f, g = (random_holo(rng, n, rng.randint(0, 6), max_terms=2, exp_prob=0.8) for _ in "fg")
+        s = (f + g.conj()) * f * f.conj()
+        default = oracle.DEFAULT_ORDER[n] + max(0, s.degree() - oracle.DEGREE_BASE)
+        for order in (default, 5, 28):
+            dense = _dense_quad(s, order)
+            assert abs(quad_integral(s, order) - dense) <= 1e-11 * max(1, abs(dense))
+        assert quad_integral(s) == quad_integral(s, default)
+
+
+def test_power_tables_are_bounded_and_read_only():
+    oracle._power.cache_clear()
+    for order in (5, 24, 28, 40, 60):
+        for k in range(19):
+            table = oracle._power(order, k)
+            assert not table.flags.writeable
+    assert oracle._power.cache_info().currsize == oracle.POWER_TABLES
 
 
 # -- Fourier-route reconstruction ----------------------------------------------

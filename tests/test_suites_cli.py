@@ -292,6 +292,29 @@ def test_cli_fail_line_names_the_worst_basis_element(capsys):
     assert "worst basis" not in capsys.readouterr().out
 
 
+def test_cli_fail_line_names_the_worst_moment_sample(capsys, monkeypatch):
+    from fockcalc import oracle
+
+    exact = oracle.quad_integral
+    # off by 1e-3 at order 40 and by 1.5e-3 at order 60, so both cases fail
+    monkeypatch.setattr(oracle, "quad_integral", lambda s, order: exact(s, order) + 1e-3 * order / 40)
+    assert main(["verify", "--suite", "moments-oracle"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    failed = [line for line in lines if line.startswith("[FAIL]")]
+    assert [line.split()[1] for line in failed] == [
+        "closed-form-matches-quadrature",
+        "quadrature-order-self-consistency",
+    ]
+    sample = r" \(worst sample a=\(\d+,\) b=\(\d+,\) lam=\(.+\) mu=\(.+\): "
+    assert re.search(sample + r"closed \(.+\) vs order 40 \(.+\)\)$", failed[0])
+    assert re.search(sample + r"order 40 \(.+\) vs order 60 \(.+\)\)$", failed[1])
+    assert main(["verify", "--suite", "moments-oracle", "--json"]) == 1
+    assert "worst sample" not in capsys.readouterr().out
+    monkeypatch.undo()
+    assert main(["verify", "--suite", "moments-oracle"]) == 0
+    assert "worst sample" not in capsys.readouterr().out
+
+
 def test_cli_verify_json_deterministic(capsys, tmp_path):
     out1 = tmp_path / "r1.json"
     out2 = tmp_path / "r2.json"
