@@ -24,9 +24,7 @@ by caller-side linearity.
 
 from __future__ import annotations
 
-import math
-
-from .symbols import Symbol, _derivative_at, _exp_factor, _expand
+from .symbols import Symbol, _exp_factor, _expand, _leibniz
 
 
 def sharp(f: Symbol, g: Symbol) -> Symbol:
@@ -41,12 +39,6 @@ def sharp(f: Symbol, g: Symbol) -> Symbol:
         q = tuple(x.conjugate() for x in gc)
         mq = tuple(-x for x in q)
         for (fa, _, fc, _), fcoef in f._map.items():
-            factors = []
-            for ik, ak, ck, sk in zip(ga, fa, fc, mq):
-                fk = {}
-                for l in range(ik + 1):
-                    weight = (-1) ** (ik - l) * math.comb(ik, l)
-                    _derivative_at(fk, ak, ck, ik - l, sk, weight, l)
-                factors.append(fk)
+            factors = [_leibniz({}, ak, ck, ik, sk, -1, 0) for ik, ak, ck, sk in zip(ga, fa, fc, mq)]
             _expand(items, gamma * fcoef * _exp_factor(mq, fc), factors, fc, q)
     return Symbol._of(f.n, items)

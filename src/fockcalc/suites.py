@@ -44,9 +44,10 @@ DEFAULT_DEGREE = 6
 DEFAULT_TOL = 1e-9
 
 #: coefficient disc radius for chain-comparison test symbols.  Kept at 1/2
-#: rather than 1 so that chain images of the constant monomial stay below
-#: coefficient norm ~2, which keeps the "perturbed symbol is detected"
-#: separation margin at residual >= 0.5.
+#: rather than 1 so that the identity entry (beta, e) = (0, 0) of a product's
+#: normal form stays below coefficient norm 1: perturbing h by 1 then moves
+#: that entry by residual 1.0 (to rounding) at n = 1, 2, 3 (default seed),
+#: against the 0.5 threshold of the "perturbed symbol is detected" cases.
 CHAIN_COEF_RADIUS = 0.5
 
 

@@ -537,6 +537,14 @@ def _derivative_at(out: dict, m: int, e: complex, p: int, s: complex, weight=1, 
     return out
 
 
+def _leibniz(out: dict, m: int, e: complex, p: int, s: complex, sign: int, tag: int) -> dict:
+    """Add sum_k C(p, k) sign^(p-k) D^(p-k)[w^m exp(w e)] at w + s to out under
+    conj(w)^(tag + k), each as _derivative_at adds it."""
+    for k in range(p + 1):
+        _derivative_at(out, m, e, p - k, s, math.comb(p, k) * sign ** (p - k), tag + k)
+    return out
+
+
 def _expand(items: list, coef: complex, factors: list[dict], c, d) -> None:
     """Append the items of coef * prod_k factors[k] * exp(z.c + conj(z).d) to items.
 

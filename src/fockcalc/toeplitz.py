@@ -15,12 +15,11 @@ the argument by the anti-holomorphic exponential parameter.
 
 Actions keep this rule, since an action needs only the columns of its
 input's keys, which is cheaper than building the operator first.  T_phi is
-linear, so it is built one column per input key (a, c): T_phi applied to
-z^a exp(z.c), expanded from phi's terms per coordinate and merged into one
-term map.  An image T_phi u sums u's coefficients times the columns of its
-keys and is canonicalized once.  Columns, and the per-coordinate factors
-they are built from, are tabulated per call (toeplitz_apply, OpChain.apply,
-basis_images or op_equal_on_basis), shared by its basis elements and chains.
+linear, so an image T_phi u sums u's coefficients times one column per key
+(a, c) of u: T_phi applied to z^a exp(z.c), expanded from phi's terms per
+coordinate and merged into one term map.  The image is canonicalized once.
+toeplitz_apply, OpChain.apply and basis_images all take this one path; the
+per-coordinate factors are memoized per call, or per sweep of basis_images.
 
 Chain identities are decided on the normal form instead, since it is exact
 on the whole class.  By Leibniz's rule each operator of the class is
@@ -42,7 +41,6 @@ invariant class.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import product
 from operator import add
@@ -50,8 +48,8 @@ from typing import Iterator, Sequence
 
 from .indices import MultiIndex, mi_enumerate, mi_factorial
 from .sharp import sharp
-from .symbols import Symbol, _derivative_at, _drop_noise, _exp_factor, _expand, _in_range, _merge
-from .symbols import _residual, relative_residual
+from .symbols import Symbol, _derivative_at, _drop_noise, _exp_factor, _expand, _in_range, _leibniz
+from .symbols import _merge, _residual, relative_residual
 
 
 def _tidy(items) -> dict:
@@ -84,28 +82,17 @@ def _column(phi: Symbol, key: tuple, factors: dict) -> dict:
     return out
 
 
-def _image(phi: Symbol, u: Symbol, columns: dict, factors: dict) -> Symbol:
-    """T_phi u from columns, phi's table of columns by input key, which gains u's keys."""
+def _image(phi: Symbol, u: Symbol, factors: dict) -> Symbol:
+    """T_phi u: u's coefficients times the columns of its keys."""
     items: list = []
     for (a, _, c, _), y in u._map.items():
-        col = columns.get((a, c))
-        if col is None:
-            col = columns[a, c] = _column(phi, (a, c), factors)
-        items += [(key, y * x) for key, x in col.items()]
+        items += [(key, y * x) for key, x in _column(phi, (a, c), factors).items()]
     return Symbol._of(phi.n, items)
-
-
-def _check_input(phi: Symbol, u: Symbol) -> None:
-    if phi.n != u.n:
-        raise ValueError(f"dimension mismatch: {phi.n} vs {u.n}")
-    if not u.is_holomorphic:
-        raise ValueError("toeplitz_apply acts on holomorphic symbols only")
 
 
 def toeplitz_apply(phi: Symbol, u: Symbol) -> Symbol:
     """Apply the Toeplitz operator with symbol phi to a holomorphic u."""
-    _check_input(phi, u)
-    return _image(phi, u, {}, {})
+    return OpChain([phi]).apply(u)
 
 
 @dataclass(frozen=True)
@@ -128,11 +115,13 @@ class OpChain:
         return self.symbols[0].n
 
     def apply(self, u: Symbol) -> Symbol:
-        _check_input(self.symbols[-1], u)
-        columns: dict = {}
+        if self.n != u.n:
+            raise ValueError(f"dimension mismatch: {self.n} vs {u.n}")
+        if not u.is_holomorphic:
+            raise ValueError("toeplitz_apply acts on holomorphic symbols only")
         factors: dict = {}
         for phi in reversed(self.symbols):
-            u = _image(phi, u, columns.setdefault(phi, {}), factors)
+            u = _image(phi, u, factors)
         return u
 
 
@@ -157,22 +146,16 @@ def basis_images(chain: OpChain, degree: int) -> Iterator[tuple[MultiIndex, Symb
 
     The normalized monomials are the orthonormal Fock basis elements of
     degree at most `degree`; alpha runs in `mi_enumerate(chain.n, degree)`
-    order.  All elements share one table of columns per symbol.
+    order.  All elements share one memo of per-coordinate factors.
     """
-    return _images(chain, degree, {}, {})
-
-
-def _images(chain: OpChain, degree: int, columns: dict, factors: dict):
-    """basis_images on the tables columns, {symbol: its columns by input key}, and
-    factors (see _column), which gain what the images need."""
-    steps = [(phi, columns.setdefault(phi, {})) for phi in reversed(chain.symbols)]
     n = chain.n
     zero, czero = (0,) * n, (0j,) * n
+    factors: dict = {}
     for alpha in mi_enumerate(n, degree):
         coef = complex(1.0 / mi_factorial(alpha) ** 0.5)
         u = Symbol._of(n, [((alpha, zero, czero, czero), coef)])
-        for phi, table in steps:
-            u = _image(phi, u, table, factors)
+        for phi in reversed(chain.symbols):
+            u = _image(phi, u, factors)
         yield alpha, u
 
 
@@ -183,16 +166,12 @@ def op_equal_on_basis(
 
     The per-basis-element residual is the coefficient norm of the difference
     of the two images, relative to max(1, coefficient norm of the first
-    chain's image); the report carries the worst element.  The chains share
-    one table of columns per symbol.
+    chain's image); the report carries the worst element.
     """
     if a.n != b.n:
         raise ValueError(f"dimension mismatch: {a.n} vs {b.n}")
-    columns: dict = {}
-    factors: dict = {}
     worst, worst_alpha = 0.0, (0,) * a.n
-    images = (_images(c, degree, columns, factors) for c in (a, b))
-    for (alpha, ra), (_, rb) in zip(*images):
+    for (alpha, ra), (_, rb) in zip(basis_images(a, degree), basis_images(b, degree)):
         res = relative_residual(rb, ra)
         if res > worst:
             worst, worst_alpha = res, alpha
@@ -213,9 +192,7 @@ def _compose(pairs) -> list:
             f = memo.get(args)
             if f is None:
                 m, m2, c2k, p, s, g = args
-                f = {}
-                for k in range(p + 1):
-                    _derivative_at(f, m2, c2k, p - k, s, math.comb(p, k), g + k)
+                f = _leibniz({}, m2, c2k, p, s, 1, g)
                 f = memo[args] = {(i + m, k): v for (i, k), v in f.items()}
             factors.append(f)
         params = _in_range(tuple(map(add, c, c2))), _in_range(tuple(map(add, d, e)))
@@ -275,9 +252,11 @@ def op_equal(a: OpChain | dict, b: OpChain | dict, tol: float = 1e-9) -> Operato
     The residual of an entry (beta, e) is relative_residual(b's entry, a's entry),
     a missing entry being the zero symbol; the report carries the largest.  Entries
     are visited in a fixed order (a's keys, then b's others), so it is reproducible.
+    a and b must share one n: a form's is its keys', and the empty form fits any n.
     """
-    if isinstance(a, OpChain) and isinstance(b, OpChain) and a.n != b.n:
-        raise ValueError(f"dimension mismatch: {a.n} vs {b.n}")
+    dims = [x.n if isinstance(x, OpChain) else len(next(iter(x))[0]) for x in (a, b) if x]
+    if len(set(dims)) > 1:
+        raise ValueError(f"dimension mismatch: {dims[0]} vs {dims[1]}")
     ea: dict = {}
     eb: dict = {}
     for x, entries in ((a, ea), (b, eb)):

@@ -116,7 +116,8 @@ def test_default_order_follows_the_degree():
 
 
 def test_two_dimensional_blocks_cover_the_grid():
-    # one block at order 5; at order 28 the last block is short
+    # the coordinate-wise sum against the dense order^4 grid, at a small and a large
+    # order, to a tighter bound than test_quad_matches_the_dense_grid's random symbols
     s = monomial(2, (2, 1), b=(0, 3)) * exponential(2, c=[0.5, 0.25j], d=[-0.5, 0]) + Z2
     for order in (5, 28):
         x, w = hermgauss(order)

@@ -186,33 +186,25 @@ def test_order_matters_for_creation_annihilation():
     assert not rep.passed
 
 
-def _counting(monkeypatch, name):
-    """Replace toeplitz.<name> by a wrapper; returns the list of its calls' arguments."""
+def test_one_sweep_computes_each_coordinate_factor_once(monkeypatch):
     calls = []
-    orig = getattr(toeplitz_module, name)
-
-    def counted(*args):
-        calls.append(args)
-        return orig(*args)
-
-    monkeypatch.setattr(toeplitz_module, name, counted)
-    return calls
-
-
-def test_one_comparison_builds_each_column_once(monkeypatch):
-    calls = _counting(monkeypatch, "_column")
+    orig = toeplitz_module._derivative_at
+    monkeypatch.setattr(
+        toeplitz_module, "_derivative_at", lambda out, *args: calls.append(args) or orig(out, *args)
+    )
     rng = random.Random(29)
     n = 2
     f, g, u, v = (random_polynomial(rng, n, 3, radius=0.5) for _ in range(4))
-    phi, psi = f + g.conj(), u + v.conj()
-    op_equal_on_basis(OpChain([phi, psi]), OpChain([psi, phi]), degree=6, tol=1e-9)
-    built = [(phi_, key) for phi_, key, _ in calls]
-    assert len(built) == len(set(built))
-    # both symbols act on every basis element, and the second chain adds no column
-    assert {phi_ for phi_, _ in built} == {phi, psi}
-    assert {key for phi_, key in built if phi_ == psi} >= {
-        (a, (0j,) * n) for a in mi_enumerate(n, 6)
-    }
+    chain = OpChain([f + g.conj(), u + v.conj()])
+    images = list(basis_images(chain, 6))
+    swept = list(calls)
+    assert swept and len(swept) == len(set(swept))
+    # applied one element at a time, the chain computes the shared factors again
+    calls.clear()
+    for alpha, image in images:
+        e = monomial(n, alpha, coef=1.0 / mi_factorial(alpha) ** 0.5)
+        assert chain.apply(e) == image
+    assert len(calls) > len(swept)
 
 
 def test_brown_halmos_builds_each_product_form_once(monkeypatch):
@@ -376,6 +368,17 @@ def test_a_sum_of_chains_is_one_form():
     assert relative_residual(normal_form_apply(normal_form(*chains), w), expected) <= 1e-12
     with pytest.raises(ValueError, match="one dimension"):
         normal_form(OpChain([f]), OpChain([coordinate(1, 1)]))
+
+
+def test_op_equal_checks_the_dimension_of_forms_too():
+    chain1, chain2 = OpChain([coordinate(1, 1)]), OpChain([coordinate(2, 1)])
+    for a, b in ((normal_form(chain2), chain1), (chain1, normal_form(chain2)), (chain2, chain1)):
+        with pytest.raises(ValueError, match="dimension mismatch: . vs ."):
+            op_equal(a, b)
+    # the empty form is the zero operator, whatever n
+    for chain in (chain1, chain2):
+        assert op_equal({}, OpChain([zero(chain.n)])).passed
+        assert op_equal(chain, {}).max_residual == 1.0
 
 
 def test_a_failing_comparison_names_its_entry():
