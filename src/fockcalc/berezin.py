@@ -23,32 +23,33 @@ from __future__ import annotations
 import cmath
 import math
 
-from .symbols import Symbol, _as_cvector, _binomial, _exp_factor, _expand, kernel
+from .symbols import Symbol, _as_cvector, _binomial, _exp_factor, _expand, _factors, kernel
 from .toeplitz import OpChain
 
 
 def berezin(s: Symbol) -> Symbol:
-    """Berezin transform of a symbol, returned as a symbol in the same class."""
-    return Symbol._of(s.n, _items(s))
+    """Berezin transform of a symbol, returned as a symbol in the same class.
 
-
-def _items(s: Symbol):
-    """The raw items of berezin(s), one input term's expansion at a time, so
-    they are never all held at once: the expansions of a large product can
-    outnumber the keys they merge into 65 to 1."""
+    Each input term's expansion merges into the result before the next is built:
+    a large product's expansions can outnumber their keys 65 to 1.  The coordinate
+    factors are memoized per call."""
+    out, mass, memo = {}, {}, {}
     for (a, b, c, d), x in s._map.items():
-        factors = []
-        for ak, bk, ck, dk in zip(a, b, c, d):
-            fk = {}
-            for j in range(min(ak, bk) + 1):
-                w = math.comb(ak, j) * math.comb(bk, j) * math.factorial(j)
-                for i, p in _binomial(ak - j, dk):
-                    for l, q in _binomial(bk - j, ck):
-                        fk[i, l] = fk.get((i, l), 0) + w * p * q
-            factors.append(fk)
-        items = []
-        _expand(items, x * _exp_factor(c, d), factors, c, d)
-        yield from items
+        factors = _factors(memo, _factor, zip(a, b, c, d))
+        _expand(out, mass, x * _exp_factor(c, d), factors, c, d)
+    return Symbol._of(s.n, out, mass)
+
+
+def _factor(fk: dict, ak: int, bk: int, ck: complex, dk: complex) -> dict:
+    """Add one coordinate's factor to fk, which maps (i, l) to the coefficient of
+    zeta^i conj(zeta)^l."""
+    for j in range(min(ak, bk) + 1):
+        w = math.comb(ak, j) * math.comb(bk, j) * math.factorial(j)
+        right = _binomial(bk - j, ck)
+        for i, p in _binomial(ak - j, dk):
+            for l, q in right:
+                fk[i, l] = fk.get((i, l), 0) + w * p * q
+    return fk
 
 
 def operator_berezin(chain: OpChain, zeta) -> complex:

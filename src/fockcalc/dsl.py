@@ -327,7 +327,7 @@ class _Parser:
 
     def _const_arg(self) -> complex:
         pos = self.pos
-        value = Symbol._of(self.n, list(self.expr().items()))
+        value = Symbol._of(self.n, self.expr())
         if not value.is_constant:
             raise SymbolSyntaxError("kernel components must be constants", pos)
         return value.constant_value()
@@ -390,7 +390,7 @@ def parse_symbol(text: str, n: int) -> Symbol:
                 pos = m.start("bad")
                 raise SymbolSyntaxError(f"unexpected character {text[pos]!r}", pos) from None
         raise
-    return Symbol._of(n, list(out.items()))
+    return Symbol._of(n, out)
 
 
 # -- formatting -------------------------------------------------------------

@@ -20,13 +20,13 @@ import cmath
 import math
 
 from .indices import MAX_EXPONENT, as_multi_index
-from .symbols import Symbol, _as_cvector, _snap
+from .symbols import Symbol, _as_cvector, _exp_factor, _snap
 
 
 def gaussian_moment(a, b, lam=None, mu=None) -> complex:
     """Moment of z^a conj(z)^b exp(z.lam + conj(z).mu) against the Gaussian.
 
-    lam and mu are rounded to the parameter grid, as a symbol's parameters are.
+    lam and mu are snapped to the parameter grid; ValueError if the moment overflows.
     """
     a = as_multi_index(a)
     b = as_multi_index(b)
@@ -38,7 +38,7 @@ def gaussian_moment(a, b, lam=None, mu=None) -> complex:
     lam = _snap(_as_cvector(lam, n))
     mu = _snap(_as_cvector(mu, n))
 
-    out = cmath.exp(sum(x * y for x, y in zip(lam, mu)))
+    out = _exp_factor(lam, mu)
     for ak, bk, lk, mk in zip(a, b, lam, mu):
         s = 0j
         for j in range(min(ak, bk) + 1):
@@ -50,6 +50,8 @@ def gaussian_moment(a, b, lam=None, mu=None) -> complex:
                 * lk ** (bk - j)
             )
         out *= s
+    if not cmath.isfinite(out):
+        raise ValueError("moment overflows the float range")
     return out
 
 

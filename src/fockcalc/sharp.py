@@ -17,14 +17,14 @@ conj(z).  All the operator components commute, so
     sum_{l <= i} C(i,l) zbar^l (-D)^{i-l}.
 
 On each term of f this factors over the coordinates, so sharp expands it
-per term pair and coordinate (the shift and each D^{i-l} as binomial sums)
-and canonicalizes the result once.  Sums of pairs (f_l, g_l) are handled
-by caller-side linearity.
+per term pair and coordinate (the shift and each D^{i-l} as binomial sums,
+memoized per call) into the one merged result.  Sums of pairs (f_l, g_l)
+are handled by caller-side linearity.
 """
 
 from __future__ import annotations
 
-from .symbols import Symbol, _exp_factor, _expand, _leibniz
+from .symbols import Symbol, _exp_factor, _expand, _factors, _leibniz
 
 
 def sharp(f: Symbol, g: Symbol) -> Symbol:
@@ -33,12 +33,12 @@ def sharp(f: Symbol, g: Symbol) -> Symbol:
         raise ValueError(f"dimension mismatch: {f.n} vs {g.n}")
     if not (f.is_holomorphic and g.is_holomorphic):
         raise ValueError("sharp is defined for holomorphic symbols only")
-    items = []
+    out, mass, memo = {}, {}, {}
     for (ga, _, gc, _), gcoef in g._map.items():
         gamma = gcoef.conjugate()
         q = tuple(x.conjugate() for x in gc)
         mq = tuple(-x for x in q)
         for (fa, _, fc, _), fcoef in f._map.items():
-            factors = [_leibniz({}, ak, ck, ik, sk, -1, 0) for ik, ak, ck, sk in zip(ga, fa, fc, mq)]
-            _expand(items, gamma * fcoef * _exp_factor(mq, fc), factors, fc, q)
-    return Symbol._of(f.n, items)
+            factors = _factors(memo, _leibniz, zip(fa, fc, ga, mq), -1, 0)
+            _expand(out, mass, gamma * fcoef * _exp_factor(mq, fc), factors, fc, q)
+    return Symbol._of(f.n, out, mass)

@@ -35,6 +35,7 @@ from .symbols import (
     relative_residual,
     zero,
 )
+from .symbols import _merge, _snap, _tidy
 from .toeplitz import OpChain, brown_halmos_h, commutator_defect, normal_form, op_equal
 from .toeplitz import op_equal_on_basis
 
@@ -121,14 +122,20 @@ def random_polynomial(
     min_degree: int = 0,
 ) -> Symbol:
     """Random nonzero holomorphic polynomial, sparse support."""
-    idx = mi_enumerate(n, degree)
-    b, cz = (0,) * n, (0j,) * n
-    out = zero(n)
-    while out.is_zero or out.degree() < min_degree:
-        out = Symbol._of(n, [
-            ((rng.choice(idx), b, cz, cz), unit_disc(rng, radius))
-            for _ in range(rng.randint(1, max_terms))
-        ])
+    if min_degree > degree:
+        raise ValueError(f"min_degree {min_degree} is above the degree {degree}")
+    return Symbol._of(n, _polynomial_map(rng, n, degree, max_terms, radius, min_degree))
+
+
+def _polynomial_map(rng, n, degree, max_terms, radius, min_degree=0) -> dict:
+    """The term map of random_polynomial, merged, without noise or zeros."""
+    idx, b, cz = mi_enumerate(n, degree), (0,) * n, (0j,) * n
+    out: dict = {}
+    while not out or max(sum(a) for a, _, _, _ in out) < min_degree:
+        mass: dict = {}
+        terms = rng.randint(1, max_terms)
+        draws = [((rng.choice(idx), b, cz, cz), unit_disc(rng, radius)) for _ in range(terms)]
+        out = _tidy(_merge({}, mass, draws), mass)
     return out
 
 
@@ -141,15 +148,19 @@ def random_holo(
     exp_prob: float = 0.5,
     blocks: int = 1,
 ) -> Symbol:
-    """Random holomorphic symbol: sum of up to `blocks` polynomial*exp pieces."""
-    out = zero(n)
-    while out.is_zero:
+    """Random holomorphic symbol: sum of up to `blocks` polynomial*exp pieces, each
+    merged on its own, all canonicalized once."""
+    while True:
+        out, mass = {}, {}
         for _ in range(rng.randint(1, blocks)):
-            p = random_polynomial(rng, n, degree, max_terms, radius)
+            p = _polynomial_map(rng, n, degree, max_terms, radius)
             if rng.random() < exp_prob:
-                p = p * exponential(n, c=[unit_disc(rng) for _ in range(n)])
-            out = out + p
-    return out
+                c = _snap([unit_disc(rng) for _ in range(n)])
+                p = {(a, b, c, d): x for (a, b, _, d), x in p.items()}
+            _merge(out, mass, p.items())
+        s = Symbol._of(n, out, mass)
+        if not s.is_zero:
+            return s
 
 
 def ones_vector(n: int) -> tuple[complex, ...]:

@@ -33,10 +33,10 @@ modulus overflows, raises ValueError.
 
 A Symbol holds n and its canonical term map {(a, b, c, d): coef}, in
 canonical order; `terms`, the public tuple of SymbolTerm, is built from it
-on each access.  The package's own operations read these maps, hand items
-((a, b, c, d), coef) once to the private constructor Symbol._of, and never
-write a symbol's map.  `_product` is the one product rule, one path for
-maps of any size, for Symbol.__mul__ and for the text parser in `dsl`.
+on each access.  The package's own operations read these maps, merge each
+result once into a term map (`_merge`, `_expand`), hand it to the private
+constructor Symbol._of to finish, and never write a symbol's map.
+`_product` is the one product rule, for Symbol.__mul__ and for `dsl`.
 
 Only this closed class is representable: no power series, no essential
 singularities.  General symbols of at-most-Gaussian growth exist beyond it,
@@ -180,6 +180,11 @@ def _drop_noise(m: dict, mass: dict) -> dict:
     return m
 
 
+def _tidy(m: dict, mass: dict) -> dict:
+    """The merged term map m (see _merge for mass), without cancellation noise or zeros."""
+    return {key: x for key, x in _drop_noise(m, mass).items() if x}
+
+
 def _on_grid(v: ComplexVector) -> ComplexVector:
     """v if it is on the grid already (a -0.0 stays), else v snapped to it."""
     w = _snap(v) if any(v) else v
@@ -196,6 +201,8 @@ def _keyed(n: int, raw: Iterable[SymbolTerm]):
 
 def _canonical_order(m: dict) -> list[tuple]:
     """The keys of the term map m whose coefficient is nonzero, in canonical order."""
+    if len(m) < 2:
+        return [key for key, x in m.items() if x]
     by_ab: dict[tuple, list[tuple]] = {}
     for key, x in m.items():
         if x:
@@ -209,12 +216,10 @@ def _canonical_order(m: dict) -> list[tuple]:
     return out
 
 
-def _canonicalize(items: Iterable[tuple]) -> dict:
-    """The canonical term map of the items [((a, b, c, d), coef)] with grid parameters;
-    items is read once, in order."""
-    mass: dict[tuple, float] = {}
-    merged = _drop_noise(_checked(_merge({}, mass, items)), mass)
-    return {key: merged[key] for key in _canonical_order(merged)}
+def _finish(m: dict, mass: dict) -> dict:
+    """The term map m, merged with mass (see _merge), checked, without noise, in order."""
+    m = _drop_noise(_checked(m), mass)
+    return {key: m[key] for key in _canonical_order(m)}
 
 
 class Symbol:
@@ -230,16 +235,17 @@ class Symbol:
         if n < 1:
             raise ValueError("dimension must be >= 1")
         object.__setattr__(self, "n", int(n))
-        object.__setattr__(self, "_map", _canonicalize(list(_keyed(int(n), terms))))
+        mass: dict = {}
+        object.__setattr__(self, "_map", _finish(_merge({}, mass, _keyed(int(n), terms)), mass))
 
     @classmethod
-    def _of(cls, n: int, items: Iterable[tuple]) -> "Symbol":
-        """The canonical symbol of the items [((a, b, c, d), coef)] on C^n; for the
-        package's own results, whose keys have length n, parameters are on the grid
-        and coefficients are complex."""
+    def _of(cls, n: int, m: dict, mass: dict | None = None) -> "Symbol":
+        """The canonical symbol of the term map m on C^n, which it takes over, merged
+        with mass as _merge keeps it (None: m has no noise); for the package's own
+        results: keys of length n, parameters on the grid, complex coefficients."""
         self = object.__new__(cls)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "_map", _canonicalize(items))
+        object.__setattr__(self, "_map", _finish(m, mass or {}))
         return self
 
     @property
@@ -286,7 +292,8 @@ class Symbol:
         if not isinstance(other, Symbol):
             return NotImplemented
         self._check_dim(other)
-        return Symbol._of(self.n, [*self._map.items(), *other._map.items()])
+        mass: dict = {}
+        return Symbol._of(self.n, _merge(dict(self._map), mass, other._map.items()), mass)
 
     __radd__ = __add__
 
@@ -305,7 +312,7 @@ class Symbol:
 
     def scale(self, factor: complex) -> "Symbol":
         factor = complex(factor)
-        return Symbol._of(self.n, [(key, x * factor) for key, x in self._map.items()])
+        return Symbol._of(self.n, {key: x * factor for key, x in self._map.items()})
 
     def __mul__(self, other):
         if isinstance(other, (int, float, complex)):
@@ -313,7 +320,7 @@ class Symbol:
         if not isinstance(other, Symbol):
             return NotImplemented
         self._check_dim(other)
-        return Symbol._of(self.n, list(_product(self._map, other._map).items()))
+        return Symbol._of(self.n, _product(self._map, other._map))
 
     def __rmul__(self, other):
         if isinstance(other, (int, float, complex)):
@@ -334,7 +341,7 @@ class Symbol:
 
     def conj(self) -> "Symbol":
         """Pointwise complex conjugate: (coef,a,b,c,d) -> (coef*,b,a,d*,c*)."""
-        return Symbol._of(self.n, list(_conj(self._map).items()))
+        return Symbol._of(self.n, _conj(self._map))
 
     def shift(self, eta) -> "Symbol":
         """Argument shift z |-> z - eta for holomorphic symbols.
@@ -366,7 +373,8 @@ class Symbol:
                         nxt.append((w, tuple(e2)))
                 expansion = nxt
             items += [((expo, zero, c, czero), coef) for coef, expo in expansion]
-        return Symbol._of(self.n, items)
+        mass: dict = {}
+        return Symbol._of(self.n, _merge({}, mass, items), mass)
 
     def dz(self, k: int) -> "Symbol":
         """Wirtinger derivative d/dz_k (1-based k); conj(z) is a constant."""
@@ -382,28 +390,34 @@ class Symbol:
                 items.append(((tuple(a2), b, c, d), x * a[i]))
             if c[i] != 0:
                 items.append((key, x * c[i]))
-        return Symbol._of(self.n, items)
+        mass: dict = {}
+        return Symbol._of(self.n, _merge({}, mass, items), mass)
 
     # -- evaluation and size ---------------------------------------------------
 
     def eval(self, zeta) -> complex:
-        """Numeric value at the point zeta in C^n."""
+        """Numeric value at the point zeta in C^n; ValueError if it overflows."""
         zeta = _as_cvector(zeta, self.n)
         zbar = tuple(x.conjugate() for x in zeta)
         total = 0j
-        for (a, b, c, d), v in self._map.items():
-            for zk, ak in zip(zeta, a):
-                if ak:
-                    v *= zk**ak
-            for wk, bk in zip(zbar, b):
-                if bk:
-                    v *= wk**bk
-            ex = sum(z * ck for z, ck in zip(zeta, c)) + sum(
-                w * dk for w, dk in zip(zbar, d)
-            )
-            if ex != 0:
-                v *= cmath.exp(ex)
-            total += v
+        try:
+            for (a, b, c, d), v in self._map.items():
+                for zk, ak in zip(zeta, a):
+                    if ak:
+                        v *= zk**ak
+                for wk, bk in zip(zbar, b):
+                    if bk:
+                        v *= wk**bk
+                ex = sum(z * ck for z, ck in zip(zeta, c)) + sum(
+                    w * dk for w, dk in zip(zbar, d)
+                )
+                if ex != 0:
+                    v *= cmath.exp(ex)
+                total += v
+        except OverflowError:
+            total = math.inf
+        if not cmath.isfinite(total):
+            raise ValueError(f"the value at {zeta} overflows the float range")
         return total
 
     def __call__(self, zeta) -> complex:
@@ -545,15 +559,21 @@ def _leibniz(out: dict, m: int, e: complex, p: int, s: complex, sign: int, tag: 
     return out
 
 
-def _expand(items: list, coef: complex, factors: list[dict], c, d) -> None:
-    """Append the items of coef * prod_k factors[k] * exp(z.c + conj(z).d) to items.
+def _factors(memo: dict, rule, coordinates, *extra) -> list[dict]:
+    """[rule({}, *args, *extra) for args in coordinates], each computed once per memo."""
+    return [memo[k] if k in memo else memo.setdefault(k, rule({}, *k, *extra)) for k in coordinates]
+
+
+def _expand(out: dict, mass: dict, coef: complex, factors: list[dict], c, d) -> None:
+    """Merge the items of coef * prod_k factors[k] * exp(z.c + conj(z).d) into the term
+    map out, as _merge(out, mass, items) does.
 
     factors[k] maps (a_k, b_k) to the coefficient of z_k^a_k conj(z_k)^b_k.
     """
     acc = [(coef, (), ())]
     for f in factors:
         acc = [(w * x, a + (i,), b + (j,)) for w, a, b in acc for (i, j), x in f.items()]
-    items += [((a, b, c, d), w) for w, a, b in acc]
+    _merge(out, mass, [((a, b, c, d), w) for w, a, b in acc])
 
 
 def relative_residual(s: Symbol, ref: Symbol) -> float:
@@ -569,7 +589,6 @@ def relative_residual(s: Symbol, ref: Symbol) -> float:
 def _residual(s: dict, ref: dict) -> float:
     """relative_residual of the term maps s and ref."""
     mass: dict = {}
-    diff = _merge(dict(s), mass, [(key, -x) for key, x in ref.items()])
-    diff = _drop_noise(_checked(diff), mass)
-    norm = math.sqrt(sum(abs(diff[key]) ** 2 for key in _canonical_order(diff)))
+    diff = _finish(_merge(dict(s), mass, [(key, -x) for key, x in ref.items()]), mass)
+    norm = math.sqrt(sum(abs(x) ** 2 for x in diff.values()))
     return norm / max(1.0, math.sqrt(sum(abs(x) ** 2 for x in ref.values())))

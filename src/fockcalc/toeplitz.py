@@ -17,9 +17,9 @@ Actions keep this rule, since an action needs only the columns of its
 input's keys, which is cheaper than building the operator first.  T_phi is
 linear, so an image T_phi u sums u's coefficients times one column per key
 (a, c) of u: T_phi applied to z^a exp(z.c), expanded from phi's terms per
-coordinate and merged into one term map.  The image is canonicalized once.
-toeplitz_apply, OpChain.apply and basis_images all take this one path; the
-per-coordinate factors are memoized per call, or per sweep of basis_images.
+coordinate and merged straight into one term map.  The image is canonicalized
+once.  toeplitz_apply, OpChain.apply and basis_images all take this one path;
+the per-coordinate factors are memoized per call, or per basis_images sweep.
 
 Chain identities are decided on the normal form instead, since it is exact
 on the whole class.  By Leibniz's rule each operator of the class is
@@ -48,14 +48,8 @@ from typing import Iterator, Sequence
 
 from .indices import MultiIndex, mi_enumerate, mi_factorial
 from .sharp import sharp
-from .symbols import Symbol, _derivative_at, _drop_noise, _exp_factor, _expand, _in_range, _leibniz
-from .symbols import _merge, _residual, relative_residual
-
-
-def _tidy(items) -> dict:
-    """The term map of the items, merged, without cancellation noise or zeros."""
-    mass: dict = {}
-    return {key: x for key, x in _drop_noise(_merge({}, mass, items), mass).items() if x}
+from .symbols import Symbol, _derivative_at, _exp_factor, _expand, _factors, _in_range, _leibniz
+from .symbols import _merge, _residual, _tidy, relative_residual
 
 
 def _column(phi: Symbol, key: tuple, factors: dict) -> dict:
@@ -66,17 +60,12 @@ def _column(phi: Symbol, key: tuple, factors: dict) -> dict:
     """
     ua, uc = key
     czero = (0j,) * phi.n
-    items: list = []
+    out, mass = {}, {}
     for (a, b, c, d), x in phi._map.items():
         e = _in_range(tuple(map(add, c, uc)))
-        coordinate_factors = []
-        for args in zip(map(add, a, ua), e, b, d):
-            f = factors.get(args)
-            if f is None:
-                f = factors[args] = _derivative_at({}, *args)
-            coordinate_factors.append(f)
-        _expand(items, x * _exp_factor(d, e), coordinate_factors, e, czero)
-    out = _tidy(items)
+        coordinate_factors = _factors(factors, _derivative_at, zip(map(add, a, ua), e, b, d))
+        _expand(out, mass, x * _exp_factor(d, e), coordinate_factors, e, czero)
+    out = _tidy(out, mass)
     if any(any(b) or any(d) for _, b, _, d in out):
         raise ValueError("toeplitz_apply produced a non-holomorphic result")
     return out
@@ -84,10 +73,10 @@ def _column(phi: Symbol, key: tuple, factors: dict) -> dict:
 
 def _image(phi: Symbol, u: Symbol, factors: dict) -> Symbol:
     """T_phi u: u's coefficients times the columns of its keys."""
-    items: list = []
+    out, mass = {}, {}
     for (a, _, c, _), y in u._map.items():
-        items += [(key, y * x) for key, x in _column(phi, (a, c), factors).items()]
-    return Symbol._of(phi.n, items)
+        _merge(out, mass, [(key, y * x) for key, x in _column(phi, (a, c), factors).items()])
+    return Symbol._of(phi.n, out, mass)
 
 
 def toeplitz_apply(phi: Symbol, u: Symbol) -> Symbol:
@@ -153,7 +142,7 @@ def basis_images(chain: OpChain, degree: int) -> Iterator[tuple[MultiIndex, Symb
     factors: dict = {}
     for alpha in mi_enumerate(n, degree):
         coef = complex(1.0 / mi_factorial(alpha) ** 0.5)
-        u = Symbol._of(n, [((alpha, zero, czero, czero), coef)])
+        u = Symbol._of(n, {(alpha, zero, czero, czero): coef})
         for phi in reversed(chain.symbols):
             u = _image(phi, u, factors)
         yield alpha, u
@@ -178,26 +167,24 @@ def op_equal_on_basis(
     return BasisEqualityReport(worst, worst_alpha, degree, tol, worst <= tol)
 
 
-def _compose(pairs) -> list:
-    """The items of the sum of A o B over the pairs of entries ((a, beta, c, d), x) of A
-    and ((a2, gamma, c2, e), y) of B: by Leibniz's rule, for each kappa <= beta,
-    (gamma + kappa, d + e) -> x z^a exp(z.c) C(beta, kappa) (D^(beta-kappa) h)(z + d)
-    with h(w) = y w^a2 exp(w.c2).  memo maps the arguments of a coordinate to its
-    factor {(i, gamma + kappa): coefficient of z^i}."""
-    items: list = []
-    memo: dict = {}
+def _compose(pairs, memo: dict) -> dict:
+    """The term map, without noise or zeros, of the sum of A o B over the pairs of entries
+    ((a, beta, c, d), x) of A and ((a2, gamma, c2, e), y) of B: by Leibniz's rule, for
+    each kappa <= beta, (gamma + kappa, d + e) -> x z^a exp(z.c) C(beta, kappa)
+    (D^(beta-kappa) h)(z + d) with h(w) = y w^a2 exp(w.c2).  memo maps the arguments of
+    _compose_factor to its result."""
+    out, mass = {}, {}
     for ((a, beta, c, d), x), ((a2, gamma, c2, e), y) in pairs:
-        factors = []
-        for args in zip(a, a2, c2, beta, d, gamma):
-            f = memo.get(args)
-            if f is None:
-                m, m2, c2k, p, s, g = args
-                f = _leibniz({}, m2, c2k, p, s, 1, g)
-                f = memo[args] = {(i + m, k): v for (i, k), v in f.items()}
-            factors.append(f)
+        factors = _factors(memo, _compose_factor, zip(a, a2, c2, beta, d, gamma))
         params = _in_range(tuple(map(add, c, c2))), _in_range(tuple(map(add, d, e)))
-        _expand(items, x * y * _exp_factor(d, c2), factors, *params)
-    return items
+        _expand(out, mass, x * y * _exp_factor(d, c2), factors, *params)
+    return _tidy(out, mass)
+
+
+def _compose_factor(out: dict, m: int, m2: int, c2k: complex, p: int, s: complex, g: int):
+    """out plus one coordinate's factor {(i, g + kappa): coefficient of z^i} of _compose."""
+    out.update(((i + m, k), v) for (i, k), v in _leibniz({}, m2, c2k, p, s, 1, g).items())
+    return out
 
 
 def normal_form(*chains: OpChain) -> dict:
@@ -205,11 +192,11 @@ def normal_form(*chains: OpChain) -> dict:
 
     A symbol term coef z^a conj(z)^b exp(z.c + conj(z).d) is the entry (b, d) -> coef
     composed with the multiplier z^a exp(z.c); a chain composes its symbols' forms
-    from the right.  The zero operator has the empty map.
-    """
+    from the right.  The zero operator has the empty map.  All compositions of one
+    call share one memo of coordinate factors."""
     if len({chain.n for chain in chains}) > 1:
         raise ValueError("the chains of a sum must share one dimension")
-    items: list = []
+    out, mass, memo = {}, {}, {}
     for chain in chains:
         zero, czero = (0,) * chain.n, (0j,) * chain.n
         form = {(zero, zero, czero, czero): 1}  # the identity
@@ -218,9 +205,9 @@ def normal_form(*chains: OpChain) -> dict:
                 (((zero, b, czero, d), x), ((a, zero, c, czero), 1))
                 for (a, b, c, d), x in phi._map.items()
             ]
-            form = _tidy(_compose(product(_tidy(_compose(parts)).items(), form.items())))
-        items += form.items()
-    return _tidy(items)
+            form = _compose(product(_compose(parts, memo).items(), form.items()), memo)
+        _merge(out, mass, form.items())
+    return _tidy(out, mass)
 
 
 @dataclass(frozen=True)

@@ -170,13 +170,13 @@ def test_parse_does_not_depend_on_term_order():
 
 def count_canonicalizations(monkeypatch, text, n):
     calls = []
-    canonicalize = symbols._canonicalize
+    finish = symbols._finish
 
     def counting(*args):
         calls.append(None)
-        return canonicalize(*args)
+        return finish(*args)
 
-    monkeypatch.setattr(symbols, "_canonicalize", counting)
+    monkeypatch.setattr(symbols, "_finish", counting)
     parse_symbol(text, n)
     return len(calls)
 

@@ -38,6 +38,14 @@ def test_moment_exponent_cap():
         gaussian_moment((21,), (0,))
 
 
+def test_moment_rejects_a_value_beyond_the_float_range():
+    with pytest.raises(ValueError, match="exponential factor overflows"):
+        gaussian_moment((0,), (0,), (4000,), (4000,))
+    # a finite exp(lam.mu) times a product that leaves the range
+    with pytest.raises(ValueError, match="moment overflows"):
+        gaussian_moment((20,) * 20, (0,) * 20, (0,) * 20, (4000,) * 20)
+
+
 def test_moment_dimension_mismatch():
     with pytest.raises(ValueError):
         gaussian_moment((1, 0), (1,))

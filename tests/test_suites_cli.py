@@ -14,12 +14,13 @@ from fockcalc.suites import (
     SUITES,
     CaseResult,
     VerificationReport,
+    random_holo,
     random_polynomial,
     report_to_json,
     run_suite,
     unit_disc,
 )
-from fockcalc.symbols import monomial, zero
+from fockcalc.symbols import exponential, monomial, zero
 
 
 def _random_polynomial_by_sums(rng, n, degree, max_terms=3, radius=1.0, min_degree=0):
@@ -30,6 +31,18 @@ def _random_polynomial_by_sums(rng, n, degree, max_terms=3, radius=1.0, min_degr
         out = zero(n)
         for _ in range(rng.randint(1, max_terms)):
             out = out + monomial(n, rng.choice(idx), coef=unit_disc(rng, radius))
+    return out
+
+
+def _random_holo_by_sums(rng, n, degree, max_terms=3, radius=1.0, exp_prob=0.5, blocks=1):
+    """random_holo as a loop of Symbol sums and products, one piece at a time."""
+    out = zero(n)
+    while out.is_zero:
+        for _ in range(rng.randint(1, blocks)):
+            p = _random_polynomial_by_sums(rng, n, degree, max_terms, radius)
+            if rng.random() < exp_prob:
+                p = p * exponential(n, c=[unit_disc(rng) for _ in range(n)])
+            out = out + p
     return out
 
 
@@ -44,6 +57,33 @@ def test_random_polynomial_matches_the_sum_loop():
                     assert format_symbol(got) == format_symbol(want)
                     assert got == want
                 assert new.getstate() == old.getstate()
+
+
+def test_random_polynomial_rejects_min_degree_above_degree():
+    rng = random.Random(3)
+    state = rng.getstate()
+    with pytest.raises(ValueError, match="min_degree 4 is above the degree 3"):
+        random_polynomial(rng, 2, 3, min_degree=4)
+    assert rng.getstate() == state
+    assert random_polynomial(rng, 2, 3, min_degree=3).degree() == 3
+
+
+def test_random_holo_matches_the_sum_loop():
+    # blocks of exponent-free pieces share keys, so the order of the sums shows
+    for n in (1, 2, 3):
+        for seed in (0, 1, 7, 12345):
+            for blocks in (1, 3):
+                for exp_prob in (0.0, 0.5, 1.0):
+                    for kwargs in ({"max_terms": 2}, {"max_terms": 4, "radius": 2.0}):
+                        new, old = random.Random(seed), random.Random(seed)
+                        for _ in range(5):
+                            got = random_holo(new, n, 3, exp_prob=exp_prob, blocks=blocks, **kwargs)
+                            want = _random_holo_by_sums(
+                                old, n, 3, exp_prob=exp_prob, blocks=blocks, **kwargs
+                            )
+                            assert format_symbol(got) == format_symbol(want)
+                            assert got == want
+                        assert new.getstate() == old.getstate()
 
 
 def test_every_named_suite_passes_at_defaults():
@@ -193,6 +233,18 @@ def test_cli_exit_codes(capsys, tmp_path):
         main(["verify", "--suite", "nope"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+def test_cli_value_beyond_the_float_range_exits_two(capsys):
+    for argv, message in (
+        (["moment", "-s", "exp(4000*z1)*exp(4000*conj(z1))"], "exponential factor overflows"),
+        (["berezin", "-s", "exp(4000*z1)", "--at", "1"], "overflows the float range"),
+        (["parse", "-s", "z1^20", "--at", "1e300"], "overflows the float range"),
+    ):
+        assert main(argv + ["--n", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("fockcalc: ") and message in captured.err
+        assert "Traceback" not in captured.err and "nan" not in captured.out
 
 
 def test_cli_deep_nesting_exits_two_with_one_line(capsys):

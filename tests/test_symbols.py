@@ -23,7 +23,7 @@ from fockcalc.symbols import (
     relative_residual,
     zero,
 )
-from fockcalc.symbols import _vec_sort_key
+from fockcalc.symbols import _canonical_order, _vec_sort_key
 
 Z = coordinate(1, 1)
 
@@ -593,6 +593,22 @@ def test_eval_examples():
     kw = kernel(w)
     norm2 = sum(abs(x) ** 2 for x in w)
     assert abs(kw.eval(w) - cmath.exp(norm2)) < 1e-12
+
+
+def test_eval_rejects_a_value_beyond_the_float_range():
+    # cmath.exp raises OverflowError here, and the power is (nan+nanj) without an error
+    for s, at in ((exponential(1, c=[4000]), [1]), (monomial(1, (20,)), [1e300])):
+        with pytest.raises(ValueError, match="overflows the float range"):
+            s.eval(at)
+
+
+def test_canonical_order_drops_a_zero_coefficient_of_a_lone_key():
+    key = ((1,), (0,), (0j,), (0j,))
+    assert _canonical_order({key: 0j}) == []
+    assert _canonical_order({key: 2j}) == [key]
+    assert _canonical_order({}) == []
+    assert monomial(1, (1,), coef=0).is_zero
+    assert monomial(1, (1,)).scale(0).is_zero
 
 
 def test_degree_and_zero_reporting():

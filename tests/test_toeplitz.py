@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from itertools import product
 
 import pytest
@@ -150,7 +151,7 @@ def test_non_holomorphic_result_raises(monkeypatch):
     # a broken step must fail with an error that survives `python -O`
     conj_z = (((0,), (1,), (0j,), (0j,)), 1 + 0j)
     monkeypatch.setattr(
-        toeplitz_module, "_expand", lambda items, coef, factors, c, d: items.append(conj_z)
+        toeplitz_module, "_expand", lambda out, mass, coef, factors, c, d: out.update([conj_z])
     )
     phi = exponential(1, d=(0.5,))
     with pytest.raises(ValueError, match="non-holomorphic"):
@@ -205,6 +206,31 @@ def test_one_sweep_computes_each_coordinate_factor_once(monkeypatch):
         e = monomial(n, alpha, coef=1.0 / mi_factorial(alpha) ** 0.5)
         assert chain.apply(e) == image
     assert len(calls) > len(swept)
+
+
+def test_term_rules_compute_each_coordinate_factor_once_per_call(monkeypatch):
+    rng = random.Random(31)
+    n = 2
+    f, g = (random_holo(rng, n, 4, exp_prob=0.7, blocks=3) for _ in range(2))
+    chain = OpChain([f + g.conj(), f * g.conj(), g + f.conj()])
+    for module, name, run in (
+        (sys.modules["fockcalc.berezin"], "_factor", lambda: berezin(f * g.conj())),
+        (sys.modules["fockcalc.sharp"], "_leibniz", lambda: sharp(f, g)),
+        (toeplitz_module, "_compose_factor", lambda: normal_form(chain)),
+    ):
+        # each rule adds its factor to the fresh dict it is passed first
+        calls = []
+        orig = getattr(module, name)
+        monkeypatch.setattr(
+            module, name, lambda out, *args, orig=orig: calls.append(args) or orig(out, *args)
+        )
+        first = run()
+        once = list(calls)
+        assert once and len(once) == len(set(once)), name
+        # the memo lives for one call: a repeated call computes every factor again
+        calls.clear()
+        assert run() == first
+        assert calls == once
 
 
 def test_brown_halmos_builds_each_product_form_once(monkeypatch):
@@ -270,7 +296,7 @@ def normal_form_apply(form, u):
 def _composed(left, right):
     """The normal form of left o right, from the two normal forms."""
     pairs = product(left.items(), right.items())
-    return toeplitz_module._tidy(toeplitz_module._compose(pairs))
+    return toeplitz_module._compose(pairs, {})
 
 
 @st.composite

@@ -18,7 +18,6 @@ from fockcalc.symbols import (
     SymbolTerm,
     _derivative_at,
     _exp_factor,
-    _expand,
     _in_range,
     monomial,
     relative_residual,
@@ -39,12 +38,14 @@ def reference_toeplitz_apply(phi: Symbol, u: Symbol) -> Symbol:
     for (a, b, c, d), x in phi._map.items():
         for (ua, _, uc, _), y in u._map.items():
             e = tuple(p + q for p, q in zip(c, uc))
-            factors = [
-                _derivative_at({}, ak + sk, ek, bk, dk)
-                for ak, sk, ek, bk, dk in zip(a, ua, e, b, d)
-            ]
-            _expand(items, x * y * _exp_factor(d, e), factors, _in_range(e), czero)
-    out = Symbol._of(phi.n, items)
+            _in_range(e)
+            # the tensor product of the coordinates' factors, one item per choice
+            acc = [(x * y * _exp_factor(d, e), (), ())]
+            for ak, sk, ek, bk, dk in zip(a, ua, e, b, d):
+                f = _derivative_at({}, ak + sk, ek, bk, dk)
+                acc = [(w * v, i + (p,), j + (q,)) for w, i, j in acc for (p, q), v in f.items()]
+            items += [((i, j, e, czero), w) for w, i, j in acc]
+    out = Symbol(phi.n, [SymbolTerm(w, *key) for key, w in items])
     if not out.is_holomorphic:
         raise ValueError("toeplitz_apply produced a non-holomorphic result")
     return out
