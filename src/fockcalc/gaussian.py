@@ -50,18 +50,16 @@ def gaussian_moment(a, b, lam=None, mu=None) -> complex:
                 * lk ** (bk - j)
             )
         out *= s
-    if not cmath.isfinite(out):
-        raise ValueError("moment overflows the float range")
-    return out
+    return _finite(out, "moment")
 
 
 def symbol_integral(s: Symbol) -> complex:
-    """Exact Gaussian integral of a symbol (termwise moments)."""
-    return sum((x * gaussian_moment(*key) for key, x in s._map.items()), 0j)
+    """Exact Gaussian integral of a symbol (termwise moments); ValueError if it overflows."""
+    return _finite(sum((x * gaussian_moment(*key) for key, x in s._map.items()), 0j), "integral")
 
 
 def fock_inner(f: Symbol, g: Symbol) -> complex:
-    """Fock-space inner product <f, g> of two holomorphic symbols."""
+    """Fock-space inner product <f, g> of two holomorphic symbols; ValueError if it overflows."""
     if f.n != g.n:
         raise ValueError(f"dimension mismatch: {f.n} vs {g.n}")
     if not (f.is_holomorphic and g.is_holomorphic):
@@ -70,4 +68,10 @@ def fock_inner(f: Symbol, g: Symbol) -> complex:
     for (a, _, c, _), x in f._map.items():
         for (a2, _, c2, _), y in g._map.items():
             total += x * y.conjugate() * gaussian_moment(a, a2, c, tuple(v.conjugate() for v in c2))
-    return total
+    return _finite(total, "inner product")
+
+
+def _finite(value: complex, what: str) -> complex:
+    if not cmath.isfinite(value):
+        raise ValueError(f"{what} overflows the float range")
+    return value

@@ -146,10 +146,10 @@ def _checked(m: dict) -> dict:
     Finite moduli can still sum to inf, so only a failed sum pays for the per-term test.
     """
     try:
-        mags = [abs(x) for x in m.values()]
+        total = sum(map(abs, m.values()))
     except OverflowError:  # finite parts, modulus beyond the float range
         raise ValueError("coefficient modulus overflows the float range") from None
-    if not math.isfinite(sum(mags)) and not all(map(math.isfinite, mags)):
+    if not math.isfinite(total) and not all(map(cmath.isfinite, m.values())):
         (a, b, _, _), x = next((key, x) for key, x in m.items() if not cmath.isfinite(x))
         raise ValueError(f"non-finite coefficient {x} at z^{a} conj(z)^{b}")
     return m
@@ -208,7 +208,7 @@ def _canonical_order(m: dict) -> list[tuple]:
         if x:
             by_ab.setdefault(key[:2], []).append(key)
     out = []
-    for ab in sorted(by_ab, key=_ab_sort_key, reverse=True):
+    for ab in sorted(by_ab, key=_ab_sort_key, reverse=True) if len(by_ab) > 1 else by_ab:
         keys = by_ab[ab]
         if len(keys) > 1:  # sort each monomial's keys on their own
             keys.sort(key=_param_sort_key)
@@ -219,7 +219,8 @@ def _canonical_order(m: dict) -> list[tuple]:
 def _finish(m: dict, mass: dict) -> dict:
     """The term map m, merged with mass (see _merge), checked, without noise, in order."""
     m = _drop_noise(_checked(m), mass)
-    return {key: m[key] for key in _canonical_order(m)}
+    order = _canonical_order(m)
+    return m if order == list(m) else {key: m[key] for key in order}
 
 
 class Symbol:

@@ -17,9 +17,9 @@ Actions keep this rule, since an action needs only the columns of its
 input's keys, which is cheaper than building the operator first.  T_phi is
 linear, so an image T_phi u sums u's coefficients times one column per key
 (a, c) of u: T_phi applied to z^a exp(z.c), expanded from phi's terms per
-coordinate and merged straight into one term map.  The image is canonicalized
-once.  toeplitz_apply, OpChain.apply and basis_images all take this one path;
-the per-coordinate factors are memoized per call, or per basis_images sweep.
+coordinate (a multiplier term, b = 0 and d = 0, as one item) and merged into
+one term map, canonicalized once.  toeplitz_apply, OpChain.apply and basis_images
+take this one path, with the per-coordinate factors memoized per call or sweep.
 
 Chain identities are decided on the normal form instead, since it is exact
 on the whole class.  By Leibniz's rule each operator of the class is
@@ -33,6 +33,10 @@ exp(e.l), and the l^beta exp(e.l) are independent), so two operators agree
 on the class exactly when their forms agree (`op_equal`), and a product
 vanishes exactly when its form is empty.  The monomial sweep
 op_equal_on_basis, a necessary condition only, stays as a second check.
+
+A chain's form starts from its rightmost symbol's own form.  A pair whose Leibniz
+rule has one term (a multiplier on the left, a pure shifted derivative on the
+right) is one entry, so T_{f + conj g} T_{u + conj v} expands conj(g)-u pairs only.
 
 Unboundedness of these operators is an analytic matter deliberately
 ignored here: computations are the densely-defined actions on the
@@ -63,6 +67,9 @@ def _column(phi: Symbol, key: tuple, factors: dict) -> dict:
     out, mass = {}, {}
     for (a, b, c, d), x in phi._map.items():
         e = _in_range(tuple(map(add, c, uc)))
+        if not (any(b) or any(d)):  # a multiplier: one item
+            _merge(out, mass, [((tuple(map(add, a, ua)), b, e, czero), x)])
+            continue
         coordinate_factors = _factors(factors, _derivative_at, zip(map(add, a, ua), e, b, d))
         _expand(out, mass, x * _exp_factor(d, e), coordinate_factors, e, czero)
     out = _tidy(out, mass)
@@ -171,12 +178,16 @@ def _compose(pairs, memo: dict) -> dict:
     """The term map, without noise or zeros, of the sum of A o B over the pairs of entries
     ((a, beta, c, d), x) of A and ((a2, gamma, c2, e), y) of B: by Leibniz's rule, for
     each kappa <= beta, (gamma + kappa, d + e) -> x z^a exp(z.c) C(beta, kappa)
-    (D^(beta-kappa) h)(z + d) with h(w) = y w^a2 exp(w.c2).  memo maps the arguments of
-    _compose_factor to its result."""
+    (D^(beta-kappa) h)(z + d) with h(w) = y w^a2 exp(w.c2); one item, x y, when beta = 0
+    and d = 0, or a2 = 0 and c2 = 0.  memo maps the arguments of _compose_factor to its result."""
     out, mass = {}, {}
     for ((a, beta, c, d), x), ((a2, gamma, c2, e), y) in pairs:
-        factors = _factors(memo, _compose_factor, zip(a, a2, c2, beta, d, gamma))
         params = _in_range(tuple(map(add, c, c2))), _in_range(tuple(map(add, d, e)))
+        if not (any(beta) or any(d)) or not (any(a2) or any(c2)):  # one Leibniz term
+            key = tuple(map(add, a, a2)), tuple(map(add, beta, gamma)), *params
+            _merge(out, mass, [(key, x * y)])
+            continue
+        factors = _factors(memo, _compose_factor, zip(a, a2, c2, beta, d, gamma))
         _expand(out, mass, x * y * _exp_factor(d, c2), factors, *params)
     return _tidy(out, mass)
 
@@ -192,20 +203,21 @@ def normal_form(*chains: OpChain) -> dict:
 
     A symbol term coef z^a conj(z)^b exp(z.c + conj(z).d) is the entry (b, d) -> coef
     composed with the multiplier z^a exp(z.c); a chain composes its symbols' forms
-    from the right.  The zero operator has the empty map.  All compositions of one
-    call share one memo of coordinate factors."""
+    from the right, starting from the rightmost one's own form.  The zero operator has
+    the empty map.  All compositions of one call share one memo of coordinate factors."""
     if len({chain.n for chain in chains}) > 1:
         raise ValueError("the chains of a sum must share one dimension")
     out, mass, memo = {}, {}, {}
     for chain in chains:
         zero, czero = (0,) * chain.n, (0j,) * chain.n
-        form = {(zero, zero, czero, czero): 1}  # the identity
+        form = None
         for phi in reversed(chain.symbols):
             parts = [
                 (((zero, b, czero, d), x), ((a, zero, c, czero), 1))
                 for (a, b, c, d), x in phi._map.items()
             ]
-            form = _compose(product(_compose(parts, memo).items(), form.items()), memo)
+            own = _compose(parts, memo)
+            form = own if form is None else _compose(product(own.items(), form.items()), memo)
         _merge(out, mass, form.items())
     return _tidy(out, mass)
 

@@ -46,6 +46,15 @@ def test_moment_rejects_a_value_beyond_the_float_range():
         gaussian_moment((20,) * 20, (0,) * 20, (0,) * 20, (4000,) * 20)
 
 
+def test_integral_and_inner_reject_a_total_beyond_the_float_range():
+    # each moment is finite (20! = 2.4e18), and so is each coefficient
+    big = monomial(1, (20,), coef=1e300)
+    with pytest.raises(ValueError, match="integral overflows the float range"):
+        symbol_integral(big * monomial(1, (0,), b=(20,)))
+    with pytest.raises(ValueError, match="inner product overflows the float range"):
+        fock_inner(big, big)
+
+
 def test_moment_dimension_mismatch():
     with pytest.raises(ValueError):
         gaussian_moment((1, 0), (1,))

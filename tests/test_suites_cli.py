@@ -240,6 +240,8 @@ def test_cli_value_beyond_the_float_range_exits_two(capsys):
         (["moment", "-s", "exp(4000*z1)*exp(4000*conj(z1))"], "exponential factor overflows"),
         (["berezin", "-s", "exp(4000*z1)", "--at", "1"], "overflows the float range"),
         (["parse", "-s", "z1^20", "--at", "1e300"], "overflows the float range"),
+        (["moment", "-s", "1e300*z1^20*conj(z1)^20"], "integral overflows the float range"),
+        (["oracle", "-s", "1e300*z1^20*conj(z1)^20"], "integral overflows the float range"),
     ):
         assert main(argv + ["--n", "1"]) == 2
         captured = capsys.readouterr()

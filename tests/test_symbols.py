@@ -23,7 +23,7 @@ from fockcalc.symbols import (
     relative_residual,
     zero,
 )
-from fockcalc.symbols import _canonical_order, _vec_sort_key
+from fockcalc.symbols import _canonical_order, _finish, _vec_sort_key
 
 Z = coordinate(1, 1)
 
@@ -609,6 +609,26 @@ def test_canonical_order_drops_a_zero_coefficient_of_a_lone_key():
     assert _canonical_order({}) == []
     assert monomial(1, (1,), coef=0).is_zero
     assert monomial(1, (1,)).scale(0).is_zero
+
+
+def test_finish_hands_back_a_map_in_order_and_orders_the_others():
+    keys = [  # canonical order: degree, then a descending, then the parameters
+        ((0,), (0,), (0j,), (0j,)),
+        ((1,), (0,), (0j,), (0j,)),
+        ((1,), (0,), (1j,), (0j,)),
+        ((0,), (1,), (0j,), (0j,)),
+        ((2,), (0,), (0j,), (0j,)),
+    ]
+    ordered = {key: complex(k + 1) for k, key in enumerate(keys)}
+    assert _finish(ordered, {}) is ordered
+    for m in ({key: ordered[key] for key in reversed(keys)}, {keys[2]: 3j, keys[1]: 2j}):
+        out = _finish(dict(m), {})
+        assert out == m and list(out) == [key for key in keys if key in m]
+    # a zero is dropped, also from a map in order and from a lone monomial's keys
+    with_zero = {**ordered, keys[3]: 0j}
+    assert list(_finish(with_zero, {})) == keys[:3] + keys[4:]
+    for m in ({keys[0]: 0j, keys[3]: 0j}, {keys[1]: 0j, keys[2]: 0j}, {keys[4]: 0j}, {}):
+        assert _finish(m, {}) == {}
 
 
 def test_degree_and_zero_reporting():

@@ -187,12 +187,15 @@ def test_order_matters_for_creation_annihilation():
     assert not rep.passed
 
 
+def _counting(monkeypatch, module, name):
+    """The argument tuples of the calls of module.name from now on."""
+    calls, orig = [], getattr(module, name)
+    monkeypatch.setattr(module, name, lambda out, *args: calls.append(args) or orig(out, *args))
+    return calls
+
+
 def test_one_sweep_computes_each_coordinate_factor_once(monkeypatch):
-    calls = []
-    orig = toeplitz_module._derivative_at
-    monkeypatch.setattr(
-        toeplitz_module, "_derivative_at", lambda out, *args: calls.append(args) or orig(out, *args)
-    )
+    calls = _counting(monkeypatch, toeplitz_module, "_derivative_at")
     rng = random.Random(29)
     n = 2
     f, g, u, v = (random_polynomial(rng, n, 3, radius=0.5) for _ in range(4))
@@ -219,11 +222,7 @@ def test_term_rules_compute_each_coordinate_factor_once_per_call(monkeypatch):
         (toeplitz_module, "_compose_factor", lambda: normal_form(chain)),
     ):
         # each rule adds its factor to the fresh dict it is passed first
-        calls = []
-        orig = getattr(module, name)
-        monkeypatch.setattr(
-            module, name, lambda out, *args, orig=orig: calls.append(args) or orig(out, *args)
-        )
+        calls = _counting(monkeypatch, module, name)
         first = run()
         once = list(calls)
         assert once and len(once) == len(set(once)), name
@@ -318,6 +317,50 @@ def test_normal_form_applies_like_the_chain(case):
     got = normal_form_apply(normal_form(chain), u)
     assert relative_residual(got, chain.apply(u)) <= 1e-12
     assert relative_residual(got, reference_chain_apply(chain, u)) <= 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(_chain_case())
+def test_the_identity_form_is_a_unit_of_composition(case):
+    # a chain's form starts from its rightmost symbol's own form, with no identity seed
+    chain, _ = case
+    form = normal_form(chain)
+    zero, czero = (0,) * chain.n, (0j,) * chain.n
+    identity = {(zero, zero, czero, czero): 1}
+    for composed in (_composed(form, identity), _composed(identity, form)):
+        assert composed == form and list(composed) == list(form)
+
+
+def test_pure_pairs_compose_as_one_item(monkeypatch):
+    calls = _counting(monkeypatch, toeplitz_module, "_compose_factor")
+    rng = random.Random(53)
+    n = 2
+    f, g, u, v = (random_polynomial(rng, n, 3, radius=0.5) for _ in range(4))
+    # a multiplier on the left, or a constant function part on the right, is one Leibniz term
+    forms = [
+        (normal_form(OpChain([f, u + v.conj()])), brown_halmos_h(f, zero(n), u, v)),
+        (normal_form(OpChain([f + g.conj(), v.conj()])), brown_halmos_h(f, g, zero(n), v)),
+    ]
+    assert calls == []
+    # T_{f + conj g} T_{u + conj v} expands only the pairs of a conj(g) entry and a u entry
+    forms.append((normal_form(OpChain([f + g.conj(), u + v.conj()])), brown_halmos_h(f, g, u, v)))
+    expected = {
+        (0, ua, 0j, ga, 0j, 0)
+        for gt, ut in product(g.terms, u.terms)
+        for ga, ua in zip(gt.a, ut.a)
+    }
+    assert calls and set(calls) <= expected
+    for form, h in forms:
+        assert op_equal(form, OpChain([h])).max_residual == 0
+
+
+def test_a_multiplier_acts_without_the_derivative_rule(monkeypatch):
+    calls = _counting(monkeypatch, toeplitz_module, "_derivative_at")
+    rng = random.Random(59)
+    for n in (1, 2, 3):
+        f, u = (random_holo(rng, n, 4, exp_prob=0.7, blocks=2) for _ in range(2))
+        assert OpChain([f]).apply(u) == f * u
+    assert calls == []
 
 
 @settings(max_examples=30, deadline=None)
