@@ -15,7 +15,7 @@ import json
 import sys
 
 from .berezin import berezin
-from .dsl import SymbolSyntaxError, _fmt_coef, format_symbol, parse_complex, parse_symbol
+from .dsl import _fmt_coef, format_symbol, parse_complex, parse_symbol
 from .gaussian import symbol_integral
 from .sharp import sharp
 from .suites import (
@@ -96,21 +96,23 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _symbols(args, count: int, too_few: str | None = None) -> list[Symbol]:
     """The parsed --symbol texts: exactly `count` of them, or at least `count`
-    when `too_few` gives the error for fewer."""
+    when `too_few` gives the error for fewer.  A wrong count is a plain ValueError:
+    it points into no text."""
     found = len(args.symbol)
     if too_few is None and found != count:
-        raise SymbolSyntaxError(
-            f"{args.command} needs exactly {count} --symbol argument(s), found {found}", 0
+        raise ValueError(
+            f"{args.command} needs exactly {count} --symbol argument(s), found {found}"
         )
     if found < count:
-        raise SymbolSyntaxError(too_few, 0)
+        raise ValueError(too_few)
     return [parse_symbol(text, args.n) for text in args.symbol]
 
 
 def _parse_point(text: str, n: int):
     parts = [p for p in text.split(",") if p.strip()]
     if len(parts) != n:
-        raise SymbolSyntaxError(f"expected {n} components in --at, found {len(parts)}", 0)
+        noun = "component" if n == 1 else "components"
+        raise ValueError(f"expected {n} {noun} in --at, found {len(parts)}")
     return tuple(parse_complex(p) for p in parts)
 
 
@@ -122,21 +124,26 @@ def _emit(args, payload_json: str, payload_text: str) -> None:
             fh.write(body + "\n")
 
 
-def _symbol_output(args, result: Symbol) -> None:
-    text = format_symbol(result)
-    payload = {"symbol": text}
-    lines = [text]
-    if args.at:
-        value = _fmt_coef(result.eval(_parse_point(args.at, args.n)))
-        payload.update(at=args.at, value=value)
-        lines.append(f"at ({args.at}): {value}")
-    _emit(args, json.dumps(payload), "\n".join(lines))
+def _symbol_output(args, *results: Symbol) -> None:
+    """Emit the results at once, so that --out holds all of them, each with its value
+    at --at if given; --json writes one object per line."""
+    point = _parse_point(args.at, args.n) if args.at else None
+    payloads, lines = [], []
+    for result in results:
+        text = format_symbol(result)
+        payload = {"symbol": text}
+        lines.append(text)
+        if point is not None:
+            value = _fmt_coef(result.eval(point))
+            payload.update(at=args.at, value=value)
+            lines.append(f"at ({args.at}): {value}")
+        payloads.append(json.dumps(payload))
+    _emit(args, "\n".join(payloads), "\n".join(lines))
 
 
 def _calculate(args) -> int:
     if args.command == "parse":
-        for s in _symbols(args, 1, "parse needs at least one --symbol"):
-            _symbol_output(args, s)
+        _symbol_output(args, *_symbols(args, 1, "parse needs at least one --symbol"))
     elif args.command == "toeplitz-apply":
         *chain, u = _symbols(
             args, 2, "toeplitz-apply needs chain symbols plus the argument (>= 2 --symbol)"

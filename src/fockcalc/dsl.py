@@ -10,23 +10,28 @@ negations accumulate in place, and products use the one product rule of
 result is canonicalized once, plus once for each component of K, so a sum
 of many terms parses in linear time.  Most factors are one term: a term
 folds its run of single-term factors into one running key and
-coefficient, checking at each `*` what the product rule checks, and z_k^e
-is one key.  A complex literal "(x+yi)", the form of every coefficient and
-exp parameter of rendered text, is read by one regex at its "(" as one
-constant, made by the merge and noise rule of the sum it spells.  Both give
-the bits of the general path, which stays for a factor of several terms,
-whose product can cancel terms, and for the power of any base but a
-coordinate.  An exp argument is lowered from its term map directly: each
-of its constant, z_k and conj(z_k) slots takes at most one term, so no
-order is needed.  Each parse keeps a memo of its lowered exp factors, keyed
-on the source text of the argument; at a repeated argument the parser
-jumps to its ")" and hands out a copy of the stored factor.  Brackets nest
-at most MAX_NESTING deep.  Every diagnostic on bad notation, including an
-exponent after `^` above indices.MAX_EXPONENT (20), an exp or K parameter
-part outside the range of `symbols` and a product (`*` or `^`) whose
-parameter parts leave that range, is a SymbolSyntaxError carrying the
-character position; a character that starts no token is reported before
-any other error, by a rescan of the text once the parse has failed.
+coefficient, checking at each `*` what the product rule checks.  The
+factors format_symbol writes are each read there in one step: one regex
+match reads "*z_k^e" or "*conj(z_k)^e" (or z_k^e starting a term) and adds
+e at slot k, and "*exp(" goes to the exp factor without the descent through
+factor and base.  A complex literal "(x+yi)", the form of every coefficient
+and exp parameter of rendered text, is read by one regex at its "(" as one
+constant: x + y, or no term where the noise rule of that sum drops it.
+Each step gives the bits and the diagnostics of the general path and hands
+it what it does not read exactly (k out of range, e above the cap or not a
+plain integer, a further "^", a space inside the factor); that path stays
+for a factor of several terms, whose product can cancel terms, and for
+the power of any other base.  An exp argument is lowered from its term map
+directly: each of its constant, z_k and conj(z_k) slots takes at most one
+term, so no order is needed.  Each parse keeps a memo of its lowered exp
+factors, keyed on the source text of the argument; at a repeated argument
+the parser jumps to its ")" and hands out a copy of the stored factor.
+Brackets nest at most MAX_NESTING deep.  Every diagnostic on bad notation,
+including an exponent after `^` above indices.MAX_EXPONENT (20), an exp or
+K parameter part outside the range of `symbols` and a product (`*` or `^`)
+whose parameter parts leave that range, is a SymbolSyntaxError carrying
+the character position; a character that starts no token is reported
+before any other error, by a rescan of the text once the parse has failed.
 Arithmetic that leaves the float range raises a plain ValueError.
 
 The printer renders each term with one %-format, from a bounded cache of
@@ -46,6 +51,7 @@ from operator import add
 
 from .indices import MAX_EXPONENT
 from .symbols import (
+    COEF_FLOOR,
     PARAM_STEP,
     Symbol,
     _canonical_order,
@@ -91,8 +97,14 @@ _TOKEN_RE = re.compile(
 #: the tokens "(", ["-"], number, "+" or "-", number, ")" of a complex literal
 _LITERAL_RE = re.compile(rf"\(\s*(-?)\s*({_NUMBER})\s*([-+])\s*({_NUMBER})\s*\)")
 
+#: a coordinate power "*z_k^e" or "*conj(z_k)^e" as format_symbol writes it, "*" absent
+#: at the start of a term and "^e" absent for e = 1; e is a plain integer, no "^" follows
+_POWER_RE = re.compile(r"\*?(?:z(\d+)(?!\d)|(conj)\(z(\d+)\))(?:\^(\d+)(?![.\w]))?(?!\s*\^)")
+
 #: negation multiplies by this, as Symbol.scale(-1) does
 _MINUS_ONE = complex(-1)
+#: the coefficients of z_k and of its conjugate conj(z_k)
+_ONE, _CONJ_ONE = 1 + 0j, complex(1, -0.0)
 
 
 def _closing(text: str, start: int, stop: int) -> int:
@@ -115,6 +127,7 @@ class _Parser:
         self.n = n
         self.zero = (0,) * n
         self.czero = (0j,) * n
+        self.cshift = (complex(0, -0.0),) * n  # the parameters of conj(z_k)
         self.exps: dict[str, dict] = {}  # exp argument source text -> its lowered factor
         self.longest = 0  # length of the longest key of exps
         self.depth = 0  # brackets open around the current expression
@@ -164,7 +177,8 @@ class _Parser:
 
     # term := factor {"*" factor}
     def term(self) -> dict:
-        out = self.factor()
+        # a term that starts with z_k is 1 times it, so the fold reads z_k as a later factor
+        out = self._fold(self._constant(1), lead=True) if self.kind == "coord" else self.factor()
         while self.at("*"):
             if len(out) == 1:
                 out = self._fold(out)
@@ -174,17 +188,14 @@ class _Parser:
         return out
 
     # factor := base ["^" nat]
-    def factor(self) -> dict:
-        coord = self.kind == "coord"
-        out = self.base()
+    def factor(self, base: dict | None = None) -> dict:
+        """The factor at the current token, or the one whose base, read already, is base."""
+        out = self.base() if base is None else base
         if self.at("^"):
             pos = self.expect_op("^")
             e = self.nat()
             if e > MAX_EXPONENT:
                 raise SymbolSyntaxError(f"exponent {e} is above the cap {MAX_EXPONENT}", pos)
-            if coord:  # z_k^e is one key, with e at slot k
-                ((a, b, c, d), x), = out.items()
-                return {(tuple([e * j for j in a]), b, c, d): x}
             # x^0 is 1 for every x, so x is checked before it can be dropped
             base, out = _checked(out), self._constant(1)
             for _ in range(e):
@@ -218,22 +229,7 @@ class _Parser:
                 self.expect_op(")")
                 return _conj(inner)
             if tok == "exp":
-                start = self.expect_op("(") + 1
-                # only an argument no longer than a stored one can be found
-                end = _closing(self.text, start, start + self.longest + 1) if self.exps else -1
-                if end >= 0 and (arg := self.text[start:end]) in self.exps:
-                    # parsed and lowered before without error, so the skipped text,
-                    # the same as there, hides no diagnostic
-                    self.end = end
-                    self.advance()
-                    self.expect_op(")")
-                    out = self.exps[arg]
-                else:
-                    inner = self.expr()
-                    arg = self.text[start : self.expect_op(")")]
-                    out = self.exps[arg] = self._lower_exp(inner, pos)
-                    self.longest = max(self.longest, len(arg))
-                return dict(out)  # expr merges into its first term's map in place
+                return self._exp(self.expect_op("(") + 1, pos)
             if tok == "K":
                 self.expect_op("(")
                 args = [self._const_arg()]
@@ -258,6 +254,23 @@ class _Parser:
             return inner
         raise SymbolSyntaxError(f"expected a value, found {tok or 'end of input'!r}", pos)
 
+    def _exp(self, start: int, pos: int) -> dict:
+        """exp(...) named at pos, its argument at text[start], the current token."""
+        # only an argument no longer than a stored one can be found
+        end = _closing(self.text, start, start + self.longest + 1) if self.exps else -1
+        if end >= 0 and (arg := self.text[start:end]) in self.exps:
+            # parsed and lowered before without error, so the skipped text,
+            # the same as there, hides no diagnostic
+            self.end = end + 1  # past the ")"
+            self.advance()
+            out = self.exps[arg]
+        else:
+            inner = self.expr()
+            arg = self.text[start : self.expect_op(")")]
+            out = self.exps[arg] = self._lower_exp(inner, pos)
+            self.longest = max(self.longest, len(arg))
+        return dict(out)  # expr merges into its first term's map in place
+
     def _number(self, text: str, pos: int) -> complex:
         value = float(text.rstrip("i"))
         if not math.isfinite(value):
@@ -275,35 +288,61 @@ class _Parser:
         y = y * _MINUS_ONE if m[3] == "-" else y
         self.end = m.end()
         self.advance()
-        key, mass = (self.zero, self.zero, self.czero, self.czero), {}
-        return _drop_noise(_merge({key: x}, mass, [(key, y)]), mass)
+        # x + y as _merge adds it; no term where _drop_noise drops it, as it does a zero
+        v, mass = x + y, abs(x) + abs(y)
+        if COEF_FLOOR * mass < math.inf and abs(v) <= COEF_FLOOR * mass:
+            return {}
+        return self._constant(v)
 
     def _constant(self, value: complex) -> dict:
         return {(self.zero, self.zero, self.czero, self.czero): complex(value)}
 
-    def _fold(self, out: dict) -> dict:
+    def _fold(self, out: dict, lead: bool = False) -> dict:
         """out, one term, times the factors after it in the term.  While they are single
         terms too, exponents and parameters add and the coefficient multiplies, with the
-        checks of _mul at each "*"; a factor of other terms goes through _mul and ends it."""
-        zero, czero = self.zero, self.czero
+        checks of _mul at each "*"; a factor of other terms goes through _mul and ends it.
+        With lead, out is 1 and the current token, a coordinate, is the first factor."""
+        text, n, zero, czero = self.text, self.n, self.zero, self.czero
         ((a, b, c, d), x), = out.items()
-        while self.at("*"):
-            pos = self.expect_op("*")
-            rhs = self.factor()
-            if len(rhs) != 1:
-                return self._mul({(a, b, c, d): x}, rhs, pos)
-            ((a2, b2, c2, d2), y), = rhs.items()
-            a = a if a2 is zero else tuple(map(add, a, a2))
-            b = b if b2 is zero else tuple(map(add, b, b2))
-            if c2 is not czero or d2 is not czero:  # only then can a parameter leave the range
-                c, d = tuple(map(add, c, c2)), tuple(map(add, d, d2))
-                try:
-                    for v in {c, d}:  # in the order of _product's check
-                        _in_range(v)
-                except ValueError as exc:
-                    raise SymbolSyntaxError(str(exc), pos) from None
-            elif c is not czero or d is not czero:  # adding czero turns -0.0 into 0.0
-                c, d = tuple(map(add, c, c2)), tuple(map(add, d, d2))
+        while lead or self.at("*"):
+            pos = self.pos
+            # a coordinate power is read at once, unless the general path raises on it
+            m = _POWER_RE.match(text, pos)
+            k, e = (int(m[1] or m[3]), int(m[4] or 1)) if m else (0, 0)
+            if 1 <= k <= n and e <= MAX_EXPONENT and not (m[2] and self.depth > MAX_NESTING):
+                if m[2]:
+                    b = b[: k - 1] + (b[k - 1] + e,) + b[k:]
+                else:
+                    a = a[: k - 1] + (a[k - 1] + e,) + a[k:]
+                # the general path's bits: conj(z_k) has coefficient 1-0j and parameters -0j,
+                # a power or z_k 1+0j and 0j, which turns a -0.0 part of c or d into 0.0
+                y, shift = (_CONJ_ONE, self.cshift) if m[2] and not m[4] else (_ONE, czero)
+                if c is not czero or d is not czero:
+                    c, d = tuple(map(add, c, shift)), tuple(map(add, d, shift))
+                self.end = m.end()
+                self.advance()
+                lead = False
+            elif lead:
+                return self.factor()
+            else:
+                exp = text.startswith("*exp(", pos)  # read at once, without the descent to base
+                self.end = pos + (5 if exp else 1)
+                self.advance()
+                rhs = self.factor(self._exp(pos + 5, pos + 1) if exp else None)
+                if len(rhs) != 1:
+                    return self._mul({(a, b, c, d): x}, rhs, pos)
+                ((a2, b2, c2, d2), y), = rhs.items()
+                a = a if a2 is zero else tuple(map(add, a, a2))
+                b = b if b2 is zero else tuple(map(add, b, b2))
+                if c2 is not czero or d2 is not czero:  # only then can a parameter leave the range
+                    c, d = tuple(map(add, c, c2)), tuple(map(add, d, d2))
+                    try:
+                        for v in {c, d}:  # in the order of _product's check
+                            _in_range(v)
+                    except ValueError as exc:
+                        raise SymbolSyntaxError(str(exc), pos) from None
+                elif c is not czero or d is not czero:  # adding czero turns -0.0 into 0.0
+                    c, d = tuple(map(add, c, c2)), tuple(map(add, d, d2))
             x *= y
             if not abs(x.real) < 2.0**1023 > abs(x.imag):  # below, |x| is finite
                 _checked({(a, b, c, d): x})

@@ -298,6 +298,78 @@ def test_parse_peak_memory_stays_small():
     assert peak <= 500_000
 
 
+def _outcome(text: str, n: int):
+    """The parsed map's repr, which shows the sign of every zero, or the error."""
+    try:
+        return repr(list(parse_symbol(text, n)._map.items()))
+    except SymbolSyntaxError as exc:
+        return exc.message, exc.position
+    except ValueError as exc:
+        return type(exc).__name__, str(exc)
+
+
+E = "exp(0.5*z1 + 0.25i*z2)"  # conj of it has -0.0 parameter parts
+F, G = "exp((0.25+0.5i)*z2)", "exp(-0.5i*conj(z2))"
+
+
+@pytest.mark.parametrize(
+    "read, declined",
+    [
+        # coordinate powers: a space, a bracket or a further "^" leaves them to factor()
+        ("(0.5-0.25i)*z1^3*z2", "(0.5-0.25i)*(z1)^3*(z2)"),
+        ("z1^2*conj(z2)^3 - z2", "z1 ^ 2*conj(z2) ^ 3 - (z2)"),
+        (f"conj({E})*z1", f"conj({E})*z1 ^ 1"),
+        (f"conj({E})*conj(z1)", f"conj({E})*conj( z1)"),
+        (f"conj({E})*conj(z2)^0*z1^0", f"conj({E})*conj( z2)^0*z1 ^ 0"),
+        ("conj(2)*conj(z1)^2*conj(z2)", "conj(2)*conj( z1)^2*conj( z2)"),
+        ("-z1^20*z1^20*z2^0", "-(z1)^20*(z1)^20*(z2)^0"),
+        # a repeated exp factor: "exp (" or a bracket leaves it to base()
+        ("exp(z1)*exp(z1)", "exp(z1)*exp (z1)"),
+        ("exp(z1)*exp(z1)^2", "exp(z1)*(exp(z1))^2"),
+        (f"0.5*z1*{F} - 0.5i*z2^2*{F}*{F}", f"0.5*z1*{F} - 0.5i*z2^2*{F}*exp {F[3:]}"),
+        (f"conj(2)*{G}*{G}", f"conj(2)*{G}*exp {G[3:]}"),
+        # complex literals: a bracketed part leaves them to expr()
+        ("(0.5-0.25i)*z1", "(0.5-(0.25i))*z1"),
+        ("(-0-0i)*z1 + (-0.5+0i) + (1i+2)", "(-0-(0i))*z1 + (-0.5+(0i)) + (1i+(2))"),
+        ("(1-0.9999999999999)*z1 + z2", "(1-(0.9999999999999))*z1 + z2"),
+        ("(1e308 + 1e308)^0", "(1e308 + (1e308))^0"),
+        ("(1e308 + 1e308i)*z1", "(1e308 + (1e308i))*z1"),
+    ],
+)
+def test_one_step_reads_give_the_bits_of_the_general_path(read, declined):
+    assert _outcome(read, 2) == _outcome(declined, 2)
+
+
+@pytest.mark.parametrize(
+    "text, n, message, pos",
+    [
+        ("z1^2.5", 1, "expected a non-negative integer", 3),
+        ("z1^2^3", 1, "unexpected trailing input '^'", 4),
+        ("z1^21", 1, "exponent 21 is above the cap 20", 2),
+        ("2*z1*z0", 2, "coordinate z0 out of range 1..2", 5),
+        ("2*conj(z3)^2", 2, "coordinate z3 out of range 1..2", 7),
+        ("z3", 2, "coordinate z3 out of range 1..2", 0),
+        ("z12^2.5", 2, "coordinate z12 out of range 1..2", 0),
+        ("(" * 100 + "1*conj(z1)" + ")" * 100, 1, "brackets nested deeper than 100", 107),
+        (
+            "exp(3000*z1)*exp(3000*z1)", 1,
+            "exponential parameter part 6000.0 is not finite or above 2^12 in magnitude", 12,
+        ),
+        ("exp(z1)*exp(z1)^21", 1, "exponent 21 is above the cap 20", 15),
+    ],
+)
+def test_one_step_reads_leave_diagnostics_to_the_general_path(text, n, message, pos):
+    with pytest.raises(SymbolSyntaxError) as err:
+        parse_symbol(text, n)
+    assert (err.value.message, err.value.position) == (message, pos)
+
+
+def test_literal_sum_that_overflows_is_not_dropped_as_noise():
+    # inf is no cancellation noise of two finite summands: x^0 checks it and raises
+    with pytest.raises(ValueError, match=r"non-finite coefficient \(inf\+0j\)"):
+        parse_symbol("(1e308 + 1e308)^0", 1)
+
+
 def test_trailing_input_rejected():
     with pytest.raises(SymbolSyntaxError):
         parse_symbol("z1 z1", 1)

@@ -249,6 +249,34 @@ def test_cli_value_beyond_the_float_range_exits_two(capsys):
         assert "Traceback" not in captured.err and "nan" not in captured.out
 
 
+def test_cli_out_holds_every_result_it_prints(capsys, tmp_path):
+    out = tmp_path / "out.txt"
+    argv = ["parse", "-s", "z1", "-s", "z1+1", "-s", "2*z1", "--n", "1", "--out", str(out)]
+    for extra, lines in (([], 3), (["--at", "2"], 6), (["--json"], 3)):
+        assert main(argv + extra) == 0
+        shown = capsys.readouterr().out
+        assert out.read_text() == shown and len(shown.splitlines()) == lines
+    assert [json.loads(line)["symbol"] for line in shown.splitlines()] == ["z1", "1 + z1", "2*z1"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["toeplitz-apply", "-s", "z1"],
+            "toeplitz-apply needs chain symbols plus the argument (>= 2 --symbol)",
+        ),
+        (["sharp", "-s", "z1"], "sharp needs exactly 2 --symbol argument(s), found 1"),
+        (["berezin", "-s", "z1", "--at", "1,2"], "expected 1 component in --at, found 2"),
+        (["parse", "-s", "z1", "--n", "2", "--at", "1"], "expected 2 components in --at, found 1"),
+    ],
+)
+def test_cli_count_errors_point_into_no_text(argv, message, capsys):
+    assert main(argv + ([] if "--n" in argv else ["--n", "1"])) == 2
+    err = capsys.readouterr().err
+    assert err == f"fockcalc: {message}\n"
+
+
 def test_cli_deep_nesting_exits_two_with_one_line(capsys):
     assert main(["parse", "-s", "(" * 2000 + "1" + ")" * 2000, "--n", "1"]) == 2
     err = capsys.readouterr().err
