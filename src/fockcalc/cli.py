@@ -15,7 +15,7 @@ import json
 import sys
 
 from .berezin import berezin
-from .dsl import _fmt_coef, format_symbol, parse_complex, parse_symbol
+from .dsl import SymbolSyntaxError, _fmt_coef, format_symbol, parse_complex, parse_symbol
 from .gaussian import symbol_integral
 from .sharp import sharp
 from .suites import (
@@ -109,11 +109,20 @@ def _symbols(args, count: int, too_few: str | None = None) -> list[Symbol]:
 
 
 def _parse_point(text: str, n: int):
-    parts = [p for p in text.split(",") if p.strip()]
+    """The --at point: n comma-separated complex components, a blank one included;
+    a syntax error's position counts from the start of text."""
+    parts = text.split(",")
     if len(parts) != n:
         noun = "component" if n == 1 else "components"
         raise ValueError(f"expected {n} {noun} in --at, found {len(parts)}")
-    return tuple(parse_complex(p) for p in parts)
+    point, start = [], 0
+    for part in parts:
+        try:
+            point.append(parse_complex(part))
+        except SymbolSyntaxError as exc:
+            raise SymbolSyntaxError(exc.message, start + exc.position) from None
+        start += len(part) + 1
+    return tuple(point)
 
 
 def _emit(args, payload_json: str, payload_text: str) -> None:

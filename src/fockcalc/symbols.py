@@ -366,7 +366,10 @@ class Symbol:
                 nxt = []
                 for coef, expo in expansion:
                     for j in range(ak + 1):
-                        w = coef * math.comb(ak, j) * (-eta[k]) ** (ak - j)
+                        try:
+                            w = coef * math.comb(ak, j) * (-eta[k]) ** (ak - j)
+                        except OverflowError:  # complex **
+                            raise ValueError("coefficient overflows the float range") from None
                         if w == 0:
                             continue
                         e2 = list(expo)
@@ -561,8 +564,14 @@ def _leibniz(out: dict, m: int, e: complex, p: int, s: complex, sign: int, tag: 
 
 
 def _factors(memo: dict, rule, coordinates, *extra) -> list[dict]:
-    """[rule({}, *args, *extra) for args in coordinates], each computed once per memo."""
-    return [memo[k] if k in memo else memo.setdefault(k, rule({}, *k, *extra)) for k in coordinates]
+    """[rule({}, *args, *extra) for args in coordinates], each computed once per memo;
+    ValueError if a factor overflows the float range."""
+    try:
+        return [
+            memo[k] if k in memo else memo.setdefault(k, rule({}, *k, *extra)) for k in coordinates
+        ]
+    except OverflowError:  # complex ** or an int too large for a float
+        raise ValueError("coefficient overflows the float range") from None
 
 
 def _expand(out: dict, mass: dict, coef: complex, factors: list[dict], c, d) -> None:

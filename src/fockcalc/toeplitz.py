@@ -13,11 +13,10 @@ acting on a holomorphic u,
 i.e. multiply by the holomorphic part, differentiate b times, then shift
 the argument by the anti-holomorphic exponential parameter.
 
-Actions keep this rule, since an action needs only the columns of its
-input's keys, which is cheaper than building the operator first.  T_phi is
-linear, so an image T_phi u sums u's coefficients times one column per key
-(a, c) of u: T_phi applied to z^a exp(z.c), expanded from phi's terms per
-coordinate (a multiplier term, b = 0 and d = 0, as one item) and merged into
+Actions keep this rule, since an action needs only the terms of its
+input, which is cheaper than building the operator first.  T_phi is linear,
+so an image T_phi u expands each pair of a term of u and a term of phi per
+coordinate (a multiplier term, b = 0 and d = 0, as one item) straight into
 one term map, canonicalized once.  toeplitz_apply, OpChain.apply and basis_images
 take this one path, with the per-coordinate factors memoized per call or sweep.
 
@@ -56,33 +55,24 @@ from .symbols import Symbol, _derivative_at, _exp_factor, _expand, _factors, _in
 from .symbols import _merge, _residual, _tidy, relative_residual
 
 
-def _column(phi: Symbol, key: tuple, factors: dict) -> dict:
-    """The term map of T_phi applied to z^a exp(z.c), for the input key (a, c).
+def _image(phi: Symbol, u: Symbol, factors: dict) -> Symbol:
+    """T_phi u, expanded from each pair of a term of u and a term of phi into one map.
 
     factors maps the arguments (m, e, p, s) of the per-coordinate rule
-    _derivative_at to its result, and gains the ones this column needs.
+    _derivative_at to its result, and gains the ones this image needs.
     """
-    ua, uc = key
     czero = (0j,) * phi.n
     out, mass = {}, {}
-    for (a, b, c, d), x in phi._map.items():
-        e = _in_range(tuple(map(add, c, uc)))
-        if not (any(b) or any(d)):  # a multiplier: one item
-            _merge(out, mass, [((tuple(map(add, a, ua)), b, e, czero), x)])
-            continue
-        coordinate_factors = _factors(factors, _derivative_at, zip(map(add, a, ua), e, b, d))
-        _expand(out, mass, x * _exp_factor(d, e), coordinate_factors, e, czero)
-    out = _tidy(out, mass)
+    for (ua, _, uc, _), y in u._map.items():
+        for (a, b, c, d), x in phi._map.items():
+            e = _in_range(tuple(map(add, c, uc)))
+            if not (any(b) or any(d)):  # a multiplier: one item
+                _merge(out, mass, [((tuple(map(add, a, ua)), b, e, czero), x * y)])
+                continue
+            coordinate_factors = _factors(factors, _derivative_at, zip(map(add, a, ua), e, b, d))
+            _expand(out, mass, x * y * _exp_factor(d, e), coordinate_factors, e, czero)
     if any(any(b) or any(d) for _, b, _, d in out):
         raise ValueError("toeplitz_apply produced a non-holomorphic result")
-    return out
-
-
-def _image(phi: Symbol, u: Symbol, factors: dict) -> Symbol:
-    """T_phi u: u's coefficients times the columns of its keys."""
-    out, mass = {}, {}
-    for (a, _, c, _), y in u._map.items():
-        _merge(out, mass, [(key, y * x) for key, x in _column(phi, (a, c), factors).items()])
     return Symbol._of(phi.n, out, mass)
 
 

@@ -242,11 +242,39 @@ def test_cli_value_beyond_the_float_range_exits_two(capsys):
         (["parse", "-s", "z1^20", "--at", "1e300"], "overflows the float range"),
         (["moment", "-s", "1e300*z1^20*conj(z1)^20"], "integral overflows the float range"),
         (["oracle", "-s", "1e300*z1^20*conj(z1)^20"], "integral overflows the float range"),
+        (
+            ["toeplitz-apply", "-s", "exp(4000*conj(z1))", "-s", "z1^20*z1^20*z1^20*z1^20*z1^20"],
+            "coefficient overflows the float range",
+        ),
+        (
+            ["sharp", "-s", "z1^20*z1^20*z1^20*z1^20*z1^20", "-s", "exp(4000*z1)"],
+            "coefficient overflows the float range",
+        ),
+        (
+            ["berezin", "-s", "z1^20*z1^20*z1^20*z1^20*z1^20*exp(4000*conj(z1))"],
+            "coefficient overflows the float range",
+        ),
     ):
         assert main(argv + ["--n", "1"]) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("fockcalc: ") and message in captured.err
+        assert captured.err.count("\n") == 1
         assert "Traceback" not in captured.err and "nan" not in captured.out
+
+
+@pytest.mark.parametrize(
+    "at, message",
+    [
+        (" ,2", "empty input (at position 0)"),
+        ("1, ", "empty input (at position 2)"),
+        ("1, 2x", "unexpected trailing input 'x' (at position 4)"),
+        ("1,z1", "expected a constant (at position 2)"),
+        ("2x,1", "unexpected trailing input 'x' (at position 1)"),
+    ],
+)
+def test_cli_at_error_positions_count_from_the_start_of_the_text(at, message, capsys):
+    assert main(["berezin", "-s", "z1", "--n", "2", "--at", at]) == 2
+    assert capsys.readouterr().err == f"fockcalc: {message}\n"
 
 
 def test_cli_out_holds_every_result_it_prints(capsys, tmp_path):
@@ -269,6 +297,8 @@ def test_cli_out_holds_every_result_it_prints(capsys, tmp_path):
         (["sharp", "-s", "z1"], "sharp needs exactly 2 --symbol argument(s), found 1"),
         (["berezin", "-s", "z1", "--at", "1,2"], "expected 1 component in --at, found 2"),
         (["parse", "-s", "z1", "--n", "2", "--at", "1"], "expected 2 components in --at, found 1"),
+        (["parse", "-s", "z1", "--n", "2", "--at", "1,,2"], "expected 2 components in --at, found 3"),
+        (["parse", "-s", "z1", "--n", "2", "--at", "1,2,"], "expected 2 components in --at, found 3"),
     ],
 )
 def test_cli_count_errors_point_into_no_text(argv, message, capsys):

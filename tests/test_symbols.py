@@ -553,6 +553,9 @@ def test_shift_guard():
         (Z.conj()).shift([1])
     with pytest.raises(ValueError):
         Z.shift([1, 2])
+    # (-eta)^2 = 1e310 overflows complex ** inside the binomial expansion
+    with pytest.raises(ValueError, match="coefficient overflows the float range"):
+        (Z**2).shift([1e155])
 
 
 # -- Wirtinger derivative ----------------------------------------------------------

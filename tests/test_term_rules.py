@@ -6,13 +6,15 @@ intermediate canonicalized.  The package expands each closed rule directly
 and canonicalizes once, so the two may differ in rounding and in which
 near-floor terms an intermediate drops, but never in the canonical keys.
 The last test checks the linearity laws of the closed rules on the same
-symbols: berezin is linear, sharp is linear in f and conjugate-linear in g.
+symbols: berezin is linear, sharp is linear in f and conjugate-linear in g,
+and toeplitz_apply is linear in the symbol and in the (multi-term) argument.
 """
 
 import cmath
 import math
 from itertools import product
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -20,7 +22,7 @@ from fockcalc.berezin import berezin
 from fockcalc.indices import mi_binomial, mi_order
 from fockcalc.sharp import sharp
 from fockcalc.symbols import Symbol, SymbolTerm, constant, exponential, monomial, relative_residual
-from fockcalc.toeplitz import toeplitz_apply
+from fockcalc.toeplitz import OpChain, normal_form, toeplitz_apply
 
 
 def reference_toeplitz_apply(phi: Symbol, u: Symbol) -> Symbol:
@@ -160,6 +162,19 @@ def test_closed_rules_match_step_by_step_compositions(case):
     assert_same_symbol(berezin(phi), reference_berezin(phi))
 
 
+def test_term_rule_overflow_is_a_value_error():
+    # (w + 4000)^100 overflows complex ** in the coordinate factors of every rule
+    z100, e = monomial(1, (100,)), exponential(1, d=[4000])
+    for compute in (
+        lambda: toeplitz_apply(e, z100),
+        lambda: sharp(z100, e.conj()),
+        lambda: berezin(z100 * e),
+        lambda: normal_form(OpChain([e, z100])),
+    ):
+        with pytest.raises(ValueError, match="coefficient overflows the float range"):
+            compute()
+
+
 @st.composite
 def _linear_case(draw):
     n = draw(st.integers(1, 3))
@@ -178,4 +193,10 @@ def test_berezin_is_linear_and_sharp_is_sesquilinear(case):
     assert relative_residual(lhs, sharp(f1, g1).scale(alpha) + sharp(f2, g1).scale(beta)) <= 1e-12
     lhs = sharp(f1, g1.scale(alpha) + g2.scale(beta))
     rhs = sharp(f1, g1).scale(alpha.conjugate()) + sharp(f1, g2).scale(beta.conjugate())
+    assert relative_residual(lhs, rhs) <= 1e-12
+    lhs = toeplitz_apply(s.scale(alpha) + t.scale(beta), f1)
+    rhs = toeplitz_apply(s, f1).scale(alpha) + toeplitz_apply(t, f1).scale(beta)
+    assert relative_residual(lhs, rhs) <= 1e-12
+    lhs = toeplitz_apply(s, f1.scale(alpha) + f2.scale(beta))
+    rhs = toeplitz_apply(s, f1).scale(alpha) + toeplitz_apply(s, f2).scale(beta)
     assert relative_residual(lhs, rhs) <= 1e-12

@@ -2,10 +2,10 @@
 
 `reference_toeplitz_apply` is a frozen copy of toeplitz_apply as it was
 when it expanded the term rule once per pair of a symbol term and an input
-term, per call, and canonicalized the result.  The package now builds one
-column per input key (a, c) and sums the columns; the coefficients of one
-key add up in another order, so the two agree to rounding, not bit for
-bit.  Parameters lie on a grid of eighths, so their sums are exact and the
+term, per call, and canonicalized the result.  The package still loops over
+the pairs, but with the input's terms outside, the symbol's factors memoized
+and each multiplier term as one item; the coefficients of one key add up in
+another order, so the two agree to rounding, not bit for bit.  Parameters lie on a grid of eighths, so their sums are exact and the
 keys agree exactly.
 """
 
