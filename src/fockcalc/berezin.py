@@ -12,7 +12,8 @@ zeta:
 
 so the polynomial-times-exponential class is invariant and fixed-point
 statements become exact symbol equalities.  Holomorphic and
-anti-holomorphic symbols are fixed points.
+anti-holomorphic symbols are fixed points.  The factor of coordinate k is
+symbols._leibniz at sign +1, memoized per call; sharp takes it at sign -1.
 
 Berezin transforms of operator compositions go through kernel vectors
 (K_zeta stays inside the holomorphic class), never matrix truncations.
@@ -21,9 +22,8 @@ Berezin transforms of operator compositions go through kernel vectors
 from __future__ import annotations
 
 import cmath
-import math
 
-from .symbols import Symbol, _as_cvector, _binomial, _exp_factor, _expand, _factors, kernel
+from .symbols import Symbol, _as_cvector, _exp_factor, _expand, _factors, _leibniz, kernel
 from .toeplitz import OpChain
 
 
@@ -35,21 +35,9 @@ def berezin(s: Symbol) -> Symbol:
     factors are memoized per call."""
     out, mass, memo = {}, {}, {}
     for (a, b, c, d), x in s._map.items():
-        factors = _factors(memo, _factor, zip(a, b, c, d))
+        factors = _factors(memo, _leibniz, zip(a, c, b, d), 1, 0)
         _expand(out, mass, x * _exp_factor(c, d), factors, c, d)
     return Symbol._of(s.n, out, mass)
-
-
-def _factor(fk: dict, ak: int, bk: int, ck: complex, dk: complex) -> dict:
-    """Add one coordinate's factor to fk, which maps (i, l) to the coefficient of
-    zeta^i conj(zeta)^l."""
-    for j in range(min(ak, bk) + 1):
-        w = math.comb(ak, j) * math.comb(bk, j) * math.factorial(j)
-        right = _binomial(bk - j, ck)
-        for i, p in _binomial(ak - j, dk):
-            for l, q in right:
-                fk[i, l] = fk.get((i, l), 0) + w * p * q
-    return fk
 
 
 def operator_berezin(chain: OpChain, zeta) -> complex:

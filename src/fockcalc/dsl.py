@@ -103,8 +103,6 @@ _POWER_RE = re.compile(r"\*?(?:z(\d+)(?!\d)|(conj)\(z(\d+)\))(?:\^(\d+)(?![.\w])
 
 #: negation multiplies by this, as Symbol.scale(-1) does
 _MINUS_ONE = complex(-1)
-#: the coefficients of z_k and of its conjugate conj(z_k)
-_ONE, _CONJ_ONE = 1 + 0j, complex(1, -0.0)
 
 
 def _closing(text: str, start: int, stop: int) -> int:
@@ -127,7 +125,6 @@ class _Parser:
         self.n = n
         self.zero = (0,) * n
         self.czero = (0j,) * n
-        self.cshift = (complex(0, -0.0),) * n  # the parameters of conj(z_k)
         self.exps: dict[str, dict] = {}  # exp argument source text -> its lowered factor
         self.longest = 0  # length of the longest key of exps
         self.depth = 0  # brackets open around the current expression
@@ -314,11 +311,7 @@ class _Parser:
                     b = b[: k - 1] + (b[k - 1] + e,) + b[k:]
                 else:
                     a = a[: k - 1] + (a[k - 1] + e,) + a[k:]
-                # the general path's bits: conj(z_k) has coefficient 1-0j and parameters -0j,
-                # a power or z_k 1+0j and 0j, which turns a -0.0 part of c or d into 0.0
-                y, shift = (_CONJ_ONE, self.cshift) if m[2] and not m[4] else (_ONE, czero)
-                if c is not czero or d is not czero:
-                    c, d = tuple(map(add, c, shift)), tuple(map(add, d, shift))
+                y = 1 + 0j  # the coefficient of z_k and of conj(z_k), as in the general path
                 self.end = m.end()
                 self.advance()
                 lead = False
@@ -341,8 +334,6 @@ class _Parser:
                             _in_range(v)
                     except ValueError as exc:
                         raise SymbolSyntaxError(str(exc), pos) from None
-                elif c is not czero or d is not czero:  # adding czero turns -0.0 into 0.0
-                    c, d = tuple(map(add, c, c2)), tuple(map(add, d, d2))
             x *= y
             if not abs(x.real) < 2.0**1023 > abs(x.imag):  # below, |x| is finite
                 _checked({(a, b, c, d): x})

@@ -22,8 +22,15 @@ MAX_EXPONENT = 20
 
 
 def as_multi_index(i: Iterable[int]) -> MultiIndex:
-    """Validate and normalize to a tuple of non-negative ints."""
-    t = tuple(int(k) for k in i)
+    """Validate and normalize to a tuple of non-negative ints; ValueError for an
+    entry that is not an integer (1.5, "1", nan), where int() would truncate."""
+    raw = tuple(i)
+    try:
+        t = tuple(map(int, raw))
+    except (TypeError, ValueError, OverflowError):
+        t = None
+    if t != raw:  # 1.5 != 1 and "1" != 1, but 2.0 == 2 and True == 1
+        raise ValueError(f"multi-index entries must be integers: {raw}")
     if len(t) < 1:
         raise ValueError("multi-index must have at least one entry")
     if any(k < 0 for k in t):

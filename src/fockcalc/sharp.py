@@ -1,24 +1,20 @@
 """The sharp product: apply g-reflected in (conj(z) - d/dz) to f.
 
 For holomorphic f and g this builds the unique symbol u with Berezin
-transform f * conj(g); it is also the exact symbol of the operator
-product T_f T_conj(g).
+transform f * conj(g), u = B^-1(f * conj(g)); it is also the exact symbol of
+the operator product T_f T_conj(g).
 
-Per g-term gamma * w^i * exp(w.r), the operator factorizes as
+Per g-term gamma * w^i * exp(w.r) the operator is conj(gamma) * (zbar - D)^i
+* exp((zbar - D) . conj(r)), with D the Wirtinger z-derivative and zbar the
+multiplication by conj(z).  Its components commute, so on an f-term
+z^m exp(z.c) it gives, with q = conj(r), the Berezin rule of
+z^m conj(z)^i exp(z.c + conj(z).q) at sign -1:
 
-    conj(gamma) * (zbar - D)^i * exp((zbar - D) . conj(r))
+    conj(gamma) * exp(-q.c) * exp(z.c + conj(z).q)
+        * prod_k sum_j (-1)^j C(m_k,j) C(i_k,j) j! (z-q)_k^{m_k-j} (conj(z)-c)_k^{i_k-j}
 
-where D is the Wirtinger z-derivative and zbar the multiplication by
-conj(z).  All the operator components commute, so
-
-  * the exponential factor acts first as exp(zbar.conj(r)) times the
-    argument shift z |-> z - conj(r), and
-  * (zbar - D)^i expands by the commuting-binomial identity
-    sum_{l <= i} C(i,l) zbar^l (-D)^{i-l}.
-
-On each term of f this factors over the coordinates, so sharp expands it
-per term pair and coordinate (the shift and each D^{i-l} as binomial sums,
-memoized per call) into the one merged result.  Sums of pairs (f_l, g_l)
+Each coordinate factor is symbols._leibniz at sign -1, memoized per call,
+and every term pair merges into the one result.  Sums of pairs (f_l, g_l)
 are handled by caller-side linearity.
 """
 
@@ -36,7 +32,7 @@ def sharp(f: Symbol, g: Symbol) -> Symbol:
     out, mass, memo = {}, {}, {}
     for (ga, _, gc, _), gcoef in g._map.items():
         gamma = gcoef.conjugate()
-        q = tuple(x.conjugate() for x in gc)
+        q = tuple(x.conjugate() + 0j for x in gc)
         mq = tuple(-x for x in q)
         for (fa, _, fc, _), fcoef in f._map.items():
             factors = _factors(memo, _leibniz, zip(fa, fc, ga, mq), -1, 0)

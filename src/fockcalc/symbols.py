@@ -115,13 +115,16 @@ def _snap(v: Iterable[complex]) -> ComplexVector:
 
 
 def _exp_factor(u: ComplexVector, v: ComplexVector) -> complex:
-    """exp(u.v), the constant factor of a closed term rule."""
+    """exp(u.v), the constant factor of a closed term rule; ValueError if it is not finite
+    or 0, which would drop a nonzero term."""
     try:
         out = cmath.exp(sum(x * y for x, y in zip(u, v)))
     except OverflowError:
         out = math.inf
     if not cmath.isfinite(out):
         raise ValueError("exponential factor overflows the float range")
+    if not out:
+        raise ValueError("exponential factor underflows the float range")
     return out
 
 
@@ -192,11 +195,12 @@ def _on_grid(v: ComplexVector) -> ComplexVector:
 
 
 def _keyed(n: int, raw: Iterable[SymbolTerm]):
-    """The items of the public terms raw, with their parameters on the grid."""
+    """The items of the public terms raw: exponents as ints, parameters on the grid."""
     for t in raw:
         if len(t.a) != n or len(t.b) != n or len(t.c) != n or len(t.d) != n:
             raise ValueError(f"term dimension mismatch (expected n={n}): {t}")
-        yield (t.a, t.b, _on_grid(t.c), _on_grid(t.d)), complex(t.coef)
+        a, b = as_multi_index(t.a), as_multi_index(t.b)
+        yield (a, b, _on_grid(t.c), _on_grid(t.d)), complex(t.coef)
 
 
 def _canonical_order(m: dict) -> list[tuple]:
@@ -481,9 +485,12 @@ def _product(s: dict, t: dict) -> dict:
 
 
 def _conj(m: dict) -> dict:
-    """Term map of the pointwise conjugate: (coef,a,b,c,d) -> (coef*,b,a,d*,c*)."""
+    """Term map of the pointwise conjugate: (coef,a,b,c,d) -> (coef*,b,a,d*,c*), each
+    conjugate plus 0j, so that no -0.0 part records that it was conjugated."""
     return {
-        (b, a, tuple(x.conjugate() for x in d), tuple(x.conjugate() for x in c)): coef.conjugate()
+        (b, a, tuple(x.conjugate() + 0j for x in d), tuple(x.conjugate() + 0j for x in c)): (
+            coef.conjugate() + 0j
+        )
         for (a, b, c, d), coef in m.items()
     }
 
@@ -533,10 +540,10 @@ def exponential(n: int, c=None, d=None, coef: complex = 1) -> Symbol:
 def kernel(w) -> Symbol:
     """Reproducing kernel K_w: z |-> exp(z . conj(w))."""
     w = tuple(complex(x) for x in w)
-    return exponential(len(w), c=tuple(x.conjugate() for x in w))
+    return exponential(len(w), c=tuple(x.conjugate() + 0j for x in w))
 
 
-# -- closed term rules of berezin, sharp and toeplitz_apply ---------------------------
+# -- closed term rules of berezin, sharp, toeplitz_apply and composition ---------------
 
 
 def _binomial(q: int, s: complex) -> list[tuple[int, complex]]:
@@ -544,22 +551,29 @@ def _binomial(q: int, s: complex) -> list[tuple[int, complex]]:
     return [(q, 1)] if s == 0 else [(i, math.comb(q, i) * s ** (q - i)) for i in range(q + 1)]
 
 
-def _derivative_at(out: dict, m: int, e: complex, p: int, s: complex, weight=1, b=0) -> dict:
-    """Add weight * D^p[w^m exp(w e)] at w + s, over exp((w + s) e), to out,
-    which maps (i, b) to the coefficient of w^i conj(w)^b."""
+def _derivative_at(out: dict, m: int, e: complex, p: int, s: complex) -> dict:
+    """Add D^p[w^m exp(w e)] at w + s, over exp((w + s) e), to out, which maps (i, 0)
+    to the coefficient of w^i."""
     for j in range(min(p, m) + 1):
-        x = weight * math.comb(p, j) * math.perm(m, j) * e ** (p - j)
+        x = math.comb(p, j) * math.perm(m, j) * e ** (p - j)
         if x:
             for i, y in _binomial(m - j, s):
-                out[i, b] = out.get((i, b), 0) + x * y
+                out[i, 0] = out.get((i, 0), 0) + x * y
     return out
 
 
 def _leibniz(out: dict, m: int, e: complex, p: int, s: complex, sign: int, tag: int) -> dict:
-    """Add sum_k C(p, k) sign^(p-k) D^(p-k)[w^m exp(w e)] at w + s to out under
-    conj(w)^(tag + k), each as _derivative_at adds it."""
-    for k in range(p + 1):
-        _derivative_at(out, m, e, p - k, s, math.comb(p, k) * sign ** (p - k), tag + k)
+    """Add sum_k C(p, k) sign^(p-k) D^(p-k)[w^m exp(w e)] at w + s, over exp((w + s) e),
+    times conj(w)^(tag + k) to out, in the closed form sum_j sign^j C(m, j) C(p, j) j!
+    (w + s)^(m-j) (conj(w) + sign e)^(p-j) conj(w)^tag: the one coordinate factor of
+    berezin (sign +1), sharp (sign -1, B^-1) and composition (sign +1, tag kappa)."""
+    right_e = e if sign > 0 else -e
+    for j in range(min(m, p) + 1):
+        x = sign**j * math.comb(m, j) * math.comb(p, j) * math.factorial(j)
+        right = _binomial(p - j, right_e)
+        for i, y in _binomial(m - j, s):
+            for l, z in right:
+                out[i, tag + l] = out.get((i, tag + l), 0) + x * y * z
     return out
 
 

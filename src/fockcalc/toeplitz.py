@@ -18,7 +18,7 @@ input, which is cheaper than building the operator first.  T_phi is linear,
 so an image T_phi u expands each pair of a term of u and a term of phi per
 coordinate (a multiplier term, b = 0 and d = 0, as one item) straight into
 one term map, canonicalized once.  toeplitz_apply, OpChain.apply and basis_images
-take this one path, with the per-coordinate factors memoized per call or sweep.
+take this one path, the factors (symbols._derivative_at) memoized per call or sweep.
 
 Chain identities are decided on the normal form instead, since it is exact
 on the whole class.  By Leibniz's rule each operator of the class is
@@ -36,6 +36,7 @@ op_equal_on_basis, a necessary condition only, stays as a second check.
 A chain's form starts from its rightmost symbol's own form.  A pair whose Leibniz
 rule has one term (a multiplier on the left, a pure shifted derivative on the
 right) is one entry, so T_{f + conj g} T_{u + conj v} expands conj(g)-u pairs only.
+Other pairs take berezin's coordinate factor, symbols._leibniz at sign +1.
 
 Unboundedness of these operators is an analytic matter deliberately
 ignored here: computations are the densely-defined actions on the

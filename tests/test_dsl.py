@@ -308,7 +308,7 @@ def _outcome(text: str, n: int):
         return type(exc).__name__, str(exc)
 
 
-E = "exp(0.5*z1 + 0.25i*z2)"  # conj of it has -0.0 parameter parts
+E = "exp(0.5*z1 + 0.25i*z2)"  # conj of it has d parameters, with zero parts 0.0 (not -0.0)
 F, G = "exp((0.25+0.5i)*z2)", "exp(-0.5i*conj(z2))"
 
 

@@ -44,6 +44,15 @@ def test_moment_rejects_a_value_beyond_the_float_range():
     # a finite exp(lam.mu) times a product that leaves the range
     with pytest.raises(ValueError, match="moment overflows"):
         gaussian_moment((20,) * 20, (0,) * 20, (0,) * 20, (4000,) * 20)
+    # exp(lam.mu) = exp(-756.25) is 0 in floats, but the moment, about 1e-271, is not
+    with pytest.raises(ValueError, match="exponential factor underflows"):
+        gaussian_moment((20,), (20,), (27.5,), (-27.5,))
+
+
+def test_moment_rejects_exponents_that_are_not_integers():
+    # int() would read 1.9 as 1, and the moment of z^1 is 0
+    with pytest.raises(ValueError, match="multi-index entries must be integers"):
+        gaussian_moment([1.9], [0])
 
 
 def test_integral_and_inner_reject_a_total_beyond_the_float_range():

@@ -5,6 +5,7 @@ import pytest
 
 from fockcalc.indices import (
     MAX_EXPONENT,
+    as_multi_index,
     grlex_key,
     mi_binomial,
     mi_enumerate,
@@ -137,3 +138,18 @@ def test_enumerate_errors():
         mi_enumerate(0, 2)
     with pytest.raises(ValueError):
         mi_enumerate(2, -1)
+
+
+@pytest.mark.parametrize("entries", [(1.5,), (0, 0.5), (math.nan,), (math.inf,), ("1",), (None,)])
+def test_as_multi_index_rejects_entries_that_are_not_integers(entries):
+    with pytest.raises(ValueError, match="multi-index entries must be integers"):
+        as_multi_index(entries)
+
+
+def test_as_multi_index_normalizes_integral_entries_to_ints():
+    t = as_multi_index([2.0, True, 0])
+    assert t == (2, 1, 0) and all(type(k) is int for k in t)
+    with pytest.raises(ValueError, match="non-negative"):
+        as_multi_index([-1])
+    with pytest.raises(ValueError, match="at least one entry"):
+        as_multi_index([])

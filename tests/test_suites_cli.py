@@ -254,6 +254,11 @@ def test_cli_value_beyond_the_float_range_exits_two(capsys):
             ["berezin", "-s", "z1^20*z1^20*z1^20*z1^20*z1^20*exp(4000*conj(z1))"],
             "coefficient overflows the float range",
         ),
+        (["sharp", "-s", "exp(20*z1)", "-s", "exp(40*z1)"], "exponential factor underflows"),
+        (
+            ["toeplitz-apply", "-s", "exp(-30*conj(z1))", "-s", "exp(30*z1)"],
+            "exponential factor underflows",
+        ),
     ):
         assert main(argv + ["--n", "1"]) == 2
         captured = capsys.readouterr()

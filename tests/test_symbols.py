@@ -133,6 +133,18 @@ def test_canon_dimension_mismatch():
         Symbol(2, [term(1, (1,))])
 
 
+@pytest.mark.parametrize("a, b", [((-1,), (0,)), ((1.5,), (0,)), ((0,), (-2,)), ((0,), ("1",))])
+def test_canon_rejects_exponents_that_are_not_non_negative_integers(a, b):
+    with pytest.raises(ValueError, match="multi-index entries must be"):
+        Symbol(1, [SymbolTerm(1, a, b, (0j,), (0j,))])
+
+
+def test_canon_stores_integral_exponents_as_ints():
+    s = Symbol(2, [SymbolTerm(1, (2.0, True), (0, 1.0), (0j, 0j), (0j, 0j))])
+    assert s == monomial(2, (2, 1), b=(0, 1))
+    assert all(type(k) is int for key in s._map for k in key[0] + key[1])
+
+
 def test_term_order_is_graded_lex():
     s = monomial(2, (0, 1)) + monomial(2, (2, 0)) + constant(2, 5) + monomial(2, (1, 0))
     degrees = [t.degree for t in s.terms]
@@ -509,6 +521,16 @@ def test_conj_examples():
     assert constant(1, 1j).conj().terms[0].coef == -1j
 
 
+def test_conjugation_leaves_no_negative_zero():
+    # conjugating 0.0 gives -0.0; the canonical map must not depend on it
+    f = exponential(1, c=[0.5])
+    for s in (Z.conj(), f.conj(), kernel([0.5]), sharp(Z, f), parse_symbol("conj(z1)", 1)):
+        values = [x for (_, _, c, d), coef in s._map.items() for x in (*c, *d, coef)]
+        parts = [p for x in values for p in (x.real, x.imag)]
+        assert all(p or math.copysign(1, p) > 0 for p in parts), repr(s._map)
+    assert repr(parse_symbol("conj(z1)", 1)._map) == repr(parse_symbol("conj(z1)^1", 1)._map)
+
+
 def test_conj_is_involution():
     rng = random.Random(31)
     for _ in range(20):
@@ -556,6 +578,9 @@ def test_shift_guard():
     # (-eta)^2 = 1e310 overflows complex ** inside the binomial expansion
     with pytest.raises(ValueError, match="coefficient overflows the float range"):
         (Z**2).shift([1e155])
+    # exp(-eta.c) = exp(-900) underflows: the shifted term may not vanish
+    with pytest.raises(ValueError, match="exponential factor underflows the float range"):
+        exponential(1, c=[30]).shift([30])
 
 
 # -- Wirtinger derivative ----------------------------------------------------------

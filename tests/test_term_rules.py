@@ -8,9 +8,13 @@ near-floor terms an intermediate drops, but never in the canonical keys.
 The last test checks the linearity laws of the closed rules on the same
 symbols: berezin is linear, sharp is linear in f and conjugate-linear in g,
 and toeplitz_apply is linear in the symbol and in the (multi-term) argument.
+The one coordinate factor of berezin, sharp and composition, the closed
+form of symbols._leibniz, is also checked against an exact sympy derivation
+of the Leibniz sum it stands for.
 """
 
 import cmath
+import functools
 import math
 from itertools import product
 
@@ -21,7 +25,8 @@ from hypothesis import strategies as st
 from fockcalc.berezin import berezin
 from fockcalc.indices import mi_binomial, mi_order
 from fockcalc.sharp import sharp
-from fockcalc.symbols import Symbol, SymbolTerm, constant, exponential, monomial, relative_residual
+from fockcalc.symbols import Symbol, SymbolTerm, _leibniz, constant, exponential, monomial
+from fockcalc.symbols import relative_residual
 from fockcalc.toeplitz import OpChain, normal_form, toeplitz_apply
 
 
@@ -162,6 +167,20 @@ def test_closed_rules_match_step_by_step_compositions(case):
     assert_same_symbol(berezin(phi), reference_berezin(phi))
 
 
+def test_term_rule_underflow_is_a_value_error():
+    # the results carry a factor exp(-900), 0 in floats, but are no small functions:
+    # T_phi u is exp(30 z - 900), above 1 for z > 30, so it may not silently vanish
+    e30, anti = exponential(1, c=[30]), exponential(1, d=[-30])
+    for compute in (
+        lambda: toeplitz_apply(anti, e30),
+        lambda: sharp(exponential(1, c=[20]), exponential(1, c=[40])),
+        lambda: berezin(e30 * anti),
+        lambda: normal_form(OpChain([anti, e30])),
+    ):
+        with pytest.raises(ValueError, match="exponential factor underflows the float range"):
+            compute()
+
+
 def test_term_rule_overflow_is_a_value_error():
     # (w + 4000)^100 overflows complex ** in the coordinate factors of every rule
     z100, e = monomial(1, (100,)), exponential(1, d=[4000])
@@ -200,3 +219,31 @@ def test_berezin_is_linear_and_sharp_is_sesquilinear(case):
     lhs = toeplitz_apply(s, f1.scale(alpha) + f2.scale(beta))
     rhs = toeplitz_apply(s, f1).scale(alpha) + toeplitz_apply(s, f2).scale(beta)
     assert relative_residual(lhs, rhs) <= 1e-12
+
+
+def test_leibniz_closed_form_matches_an_exact_derivation():
+    """sum_k C(p, k) sign^(p-k) D^(p-k)[w^m exp(w e)] at w + s, over exp((w + s) e), times
+    conj(w)^(tag + k), expanded exactly in w and conj(w), against _leibniz's closed form."""
+    sympy = pytest.importorskip("sympy")
+    w, wb = sympy.symbols("w wb")
+    exact = {0: sympy.Integer(0), 0.5: sympy.Rational(1, 2), -1 + 1j / 3: -1 + sympy.I / 3}
+
+    @functools.cache
+    def derivative_at(m, q, e, s):
+        """D^q[w^m exp(w e)] at w + s, over exp((w + s) e): a polynomial in w."""
+        d = sympy.expand(sympy.diff(w**m * sympy.exp(w * e), w, q) * sympy.exp(-w * e))
+        return sympy.Poly(sympy.powsimp(d).subs(w, w + s), w, wb)
+
+    for m, p, (e, ee), (s, se), sign, tag in product(
+        range(5), range(5), exact.items(), exact.items(), (1, -1), (0, 2)
+    ):
+        total = sum(
+            derivative_at(m, p - k, ee, se) * (math.comb(p, k) * sign ** (p - k) * wb ** (tag + k))
+            for k in range(p + 1)
+        )
+        want = {key: complex(coef) for key, coef in total.terms() if coef != 0}
+        got = _leibniz({}, m, complex(e), p, complex(s), sign, tag)
+        case = (m, p, e, s, sign, tag)
+        assert got.keys() == want.keys(), case
+        for key, x in want.items():
+            assert abs(got[key] - x) <= 1e-13 * max(1.0, abs(x)), (case, key)

@@ -217,7 +217,7 @@ def test_term_rules_compute_each_coordinate_factor_once_per_call(monkeypatch):
     f, g = (random_holo(rng, n, 4, exp_prob=0.7, blocks=3) for _ in range(2))
     chain = OpChain([f + g.conj(), f * g.conj(), g + f.conj()])
     for module, name, run in (
-        (sys.modules["fockcalc.berezin"], "_factor", lambda: berezin(f * g.conj())),
+        (sys.modules["fockcalc.berezin"], "_leibniz", lambda: berezin(f * g.conj())),
         (sys.modules["fockcalc.sharp"], "_leibniz", lambda: sharp(f, g)),
         (toeplitz_module, "_compose_factor", lambda: normal_form(chain)),
     ):
