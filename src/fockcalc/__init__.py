@@ -8,7 +8,7 @@ operator identities end to end (see `fockcalc.suites` and the `fockcalc`
 command-line tool).
 """
 
-from .berezin import berezin, operator_berezin
+from .berezin import berezin, berezin_inverse, operator_berezin
 from .dsl import SymbolSyntaxError, format_symbol, parse_complex, parse_symbol
 from .gaussian import fock_inner, gaussian_moment, symbol_integral
 from .indices import mi_binomial, mi_enumerate, mi_factorial
@@ -44,6 +44,7 @@ __all__ = [
     "SymbolSyntaxError",
     "SymbolTerm",
     "berezin",
+    "berezin_inverse",
     "brown_halmos_h",
     "commutator_defect",
     "constant",

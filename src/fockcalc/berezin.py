@@ -12,8 +12,9 @@ zeta:
 
 so the polynomial-times-exponential class is invariant and fixed-point
 statements become exact symbol equalities.  Holomorphic and
-anti-holomorphic symbols are fixed points.  The factor of coordinate k is
-symbols._leibniz at sign +1, memoized per call; sharp takes it at sign -1.
+anti-holomorphic symbols are fixed points.  The inverse is the same rule
+at sign -1: d, c, exp(c.d) and j! become -d, -c, exp(-c.d) and (-1)^j j!.
+Both are symbols._transform, its factor of coordinate k symbols._leibniz.
 
 Berezin transforms of operator compositions go through kernel vectors
 (K_zeta stays inside the holomorphic class), never matrix truncations.
@@ -23,21 +24,18 @@ from __future__ import annotations
 
 import cmath
 
-from .symbols import Symbol, _as_cvector, _exp_factor, _expand, _factors, _leibniz, kernel
+from .symbols import Symbol, _as_cvector, _transform, kernel
 from .toeplitz import OpChain
 
 
 def berezin(s: Symbol) -> Symbol:
-    """Berezin transform of a symbol, returned as a symbol in the same class.
+    """Berezin transform of a symbol, returned as a symbol in the same class."""
+    return Symbol._of(s.n, *_transform(s._map.items(), 1))
 
-    Each input term's expansion merges into the result before the next is built:
-    a large product's expansions can outnumber their keys 65 to 1.  The coordinate
-    factors are memoized per call."""
-    out, mass, memo = {}, {}, {}
-    for (a, b, c, d), x in s._map.items():
-        factors = _factors(memo, _leibniz, zip(a, c, b, d), 1, 0)
-        _expand(out, mass, x * _exp_factor(c, d), factors, c, d)
-    return Symbol._of(s.n, out, mass)
+
+def berezin_inverse(s: Symbol) -> Symbol:
+    """The symbol u with berezin(u) = s, returned as a symbol in the same class."""
+    return Symbol._of(s.n, *_transform(s._map.items(), -1))
 
 
 def operator_berezin(chain: OpChain, zeta) -> complex:

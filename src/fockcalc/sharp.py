@@ -13,14 +13,14 @@ z^m conj(z)^i exp(z.c + conj(z).q) at sign -1:
     conj(gamma) * exp(-q.c) * exp(z.c + conj(z).q)
         * prod_k sum_j (-1)^j C(m_k,j) C(i_k,j) j! (z-q)_k^{m_k-j} (conj(z)-c)_k^{i_k-j}
 
-Each coordinate factor is symbols._leibniz at sign -1, memoized per call,
-and every term pair merges into the one result.  Sums of pairs (f_l, g_l)
-are handled by caller-side linearity.
+This is berezin_inverse of f * conj(g) (symbols._transform at sign -1),
+fed the term pairs unmerged, so no rounded sum of f * conj(g) enters it.
+Sums of pairs (f_l, g_l) are handled by caller-side linearity.
 """
 
 from __future__ import annotations
 
-from .symbols import Symbol, _exp_factor, _expand, _factors, _leibniz
+from .symbols import Symbol, _transform
 
 
 def sharp(f: Symbol, g: Symbol) -> Symbol:
@@ -29,12 +29,11 @@ def sharp(f: Symbol, g: Symbol) -> Symbol:
         raise ValueError(f"dimension mismatch: {f.n} vs {g.n}")
     if not (f.is_holomorphic and g.is_holomorphic):
         raise ValueError("sharp is defined for holomorphic symbols only")
-    out, mass, memo = {}, {}, {}
-    for (ga, _, gc, _), gcoef in g._map.items():
-        gamma = gcoef.conjugate()
-        q = tuple(x.conjugate() + 0j for x in gc)
-        mq = tuple(-x for x in q)
-        for (fa, _, fc, _), fcoef in f._map.items():
-            factors = _factors(memo, _leibniz, zip(fa, fc, ga, mq), -1, 0)
-            _expand(out, mass, gamma * fcoef * _exp_factor(mq, fc), factors, fc, q)
-    return Symbol._of(f.n, out, mass)
+    # the term pairs of f * conj(g), g outer, unmerged: merging would round their sums
+    pairs = (
+        ((fa, ga, fc, q), gamma * fcoef)
+        for (ga, _, gc, _), gcoef in g._map.items()
+        for gamma, q in [(gcoef.conjugate(), tuple(x.conjugate() + 0j for x in gc))]
+        for (fa, _, fc, _), fcoef in f._map.items()
+    )
+    return Symbol._of(f.n, *_transform(pairs, -1))

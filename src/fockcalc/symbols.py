@@ -351,38 +351,18 @@ class Symbol:
     def shift(self, eta) -> "Symbol":
         """Argument shift z |-> z - eta for holomorphic symbols.
 
-        Monomials expand by the binomial theorem; exp(z.c) picks up the
-        constant factor exp(-eta.c).
+        Monomials expand by the binomial theorem (_derivative_at of order 0 at
+        -eta, memoized per call); exp(z.c) picks up the constant factor exp(-eta.c).
         """
         if not self.is_holomorphic:
             raise ValueError("shift is defined for holomorphic symbols only")
-        eta = _as_cvector(eta, self.n)
-        zero = (0,) * self.n
-        czero = (0j,) * self.n
-        items = []
+        meta = tuple(-e for e in _as_cvector(eta, self.n))
+        zero, czero = (0,) * self.n, (0j,) * self.n
+        out, mass, memo = {}, {}, {}
         for (a, _, c, _), x in self._map.items():
-            base = x * _exp_factor(tuple(-e for e in eta), c)
-            # expand prod_k (z_k - eta_k)^{a_k}
-            expansion = [(base, zero)]
-            for k, ak in enumerate(a):
-                if ak == 0:
-                    continue
-                nxt = []
-                for coef, expo in expansion:
-                    for j in range(ak + 1):
-                        try:
-                            w = coef * math.comb(ak, j) * (-eta[k]) ** (ak - j)
-                        except OverflowError:  # complex **
-                            raise ValueError("coefficient overflows the float range") from None
-                        if w == 0:
-                            continue
-                        e2 = list(expo)
-                        e2[k] = j
-                        nxt.append((w, tuple(e2)))
-                expansion = nxt
-            items += [((expo, zero, c, czero), coef) for coef, expo in expansion]
-        mass: dict = {}
-        return Symbol._of(self.n, _merge({}, mass, items), mass)
+            factors = _factors(memo, _derivative_at, zip(a, czero, zero, meta))
+            _expand(out, mass, x * _exp_factor(meta, c), factors, c, czero)
+        return Symbol._of(self.n, out, mass)
 
     def dz(self, k: int) -> "Symbol":
         """Wirtinger derivative d/dz_k (1-based k); conj(z) is a constant."""
@@ -543,7 +523,7 @@ def kernel(w) -> Symbol:
     return exponential(len(w), c=tuple(x.conjugate() + 0j for x in w))
 
 
-# -- closed term rules of berezin, sharp, toeplitz_apply and composition ---------------
+# -- closed term rules of berezin and its inverse, sharp, shift, toeplitz_apply, composition --
 
 
 def _binomial(q: int, s: complex) -> list[tuple[int, complex]]:
@@ -553,7 +533,7 @@ def _binomial(q: int, s: complex) -> list[tuple[int, complex]]:
 
 def _derivative_at(out: dict, m: int, e: complex, p: int, s: complex) -> dict:
     """Add D^p[w^m exp(w e)] at w + s, over exp((w + s) e), to out, which maps (i, 0)
-    to the coefficient of w^i."""
+    to the coefficient of w^i: the factor of toeplitz_apply, and of Symbol.shift at p = 0."""
     for j in range(min(p, m) + 1):
         x = math.comb(p, j) * math.perm(m, j) * e ** (p - j)
         if x:
@@ -566,7 +546,8 @@ def _leibniz(out: dict, m: int, e: complex, p: int, s: complex, sign: int, tag: 
     """Add sum_k C(p, k) sign^(p-k) D^(p-k)[w^m exp(w e)] at w + s, over exp((w + s) e),
     times conj(w)^(tag + k) to out, in the closed form sum_j sign^j C(m, j) C(p, j) j!
     (w + s)^(m-j) (conj(w) + sign e)^(p-j) conj(w)^tag: the one coordinate factor of
-    berezin (sign +1), sharp (sign -1, B^-1) and composition (sign +1, tag kappa)."""
+    _transform (berezin at sign +1, berezin_inverse and sharp at sign -1) and composition
+    (sign +1, tag kappa)."""
     right_e = e if sign > 0 else -e
     for j in range(min(m, p) + 1):
         x = sign**j * math.comb(m, j) * math.comb(p, j) * math.factorial(j)
@@ -598,6 +579,21 @@ def _expand(out: dict, mass: dict, coef: complex, factors: list[dict], c, d) -> 
     for f in factors:
         acc = [(w * x, a + (i,), b + (j,)) for w, a, b in acc for (i, j), x in f.items()]
     _merge(out, mass, [((a, b, c, d), w) for w, a, b in acc])
+
+
+def _transform(items: Iterable[tuple], sign: int) -> tuple[dict, dict]:
+    """(out, mass) of _merge for the Berezin transform (sign +1) or its inverse (sign -1)
+    of the terms ((a, b, c, d), coef) of items, each expanded straight into out (see
+    berezin.py); a term with b = 0 and d = 0, or a = 0 and c = 0, is a fixed point."""
+    out, mass, memo = {}, {}, {}
+    for (a, b, c, d), x in items:
+        sd = d if sign > 0 else tuple(-y for y in d)
+        x *= _exp_factor(c, sd)
+        if not (any(b) or any(d)) or not (any(a) or any(c)):
+            _merge(out, mass, [((a, b, c, d), x)])
+        else:
+            _expand(out, mass, x, _factors(memo, _leibniz, zip(a, c, b, sd), sign, 0), c, d)
+    return out, mass
 
 
 def relative_residual(s: Symbol, ref: Symbol) -> float:

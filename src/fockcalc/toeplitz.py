@@ -33,9 +33,11 @@ on the class exactly when their forms agree (`op_equal`), and a product
 vanishes exactly when its form is empty.  The monomial sweep
 op_equal_on_basis, a necessary condition only, stays as a second check.
 
-A chain's form starts from its rightmost symbol's own form.  A pair whose Leibniz
-rule has one term (a multiplier on the left, a pure shifted derivative on the
-right) is one entry, so T_{f + conj g} T_{u + conj v} expands conj(g)-u pairs only.
+Read as a symbol (entry (a, beta, c, e) as z^a conj(z)^beta exp(z.c + conj(z).e)), the
+form is the operator's Berezin transform.  As B(T_phi) = B(phi), a chain's form starts
+from berezin of its rightmost symbol and composes the others onto it (a Wick product).  A
+pair whose Leibniz rule has one term (a multiplier on the left, a pure shifted derivative
+on the right) is one entry, so T_{f + conj g} T_{u + conj v} expands conj(g)-u pairs only.
 Other pairs take berezin's coordinate factor, symbols._leibniz at sign +1.
 
 Unboundedness of these operators is an analytic matter deliberately
@@ -53,7 +55,7 @@ from typing import Iterator, Sequence
 from .indices import MultiIndex, mi_enumerate, mi_factorial
 from .sharp import sharp
 from .symbols import Symbol, _derivative_at, _exp_factor, _expand, _factors, _in_range, _leibniz
-from .symbols import _merge, _residual, _tidy, relative_residual
+from .symbols import _merge, _residual, _tidy, _transform, relative_residual
 
 
 def _image(phi: Symbol, u: Symbol, factors: dict) -> Symbol:
@@ -155,6 +157,7 @@ def op_equal_on_basis(
     of the two images, relative to max(1, coefficient norm of the first
     chain's image); the report carries the worst element.
     """
+    _check_tol(tol)
     if a.n != b.n:
         raise ValueError(f"dimension mismatch: {a.n} vs {b.n}")
     worst, worst_alpha = 0.0, (0,) * a.n
@@ -192,22 +195,17 @@ def _compose_factor(out: dict, m: int, m2: int, c2k: complex, p: int, s: complex
 def normal_form(*chains: OpChain) -> dict:
     """The normal form {(a, beta, c, e): coef} of the sum of the chains' operators.
 
-    A symbol term coef z^a conj(z)^b exp(z.c + conj(z).d) is the entry (b, d) -> coef
-    composed with the multiplier z^a exp(z.c); a chain composes its symbols' forms
-    from the right, starting from the rightmost one's own form.  The zero operator has
-    the empty map.  All compositions of one call share one memo of coordinate factors."""
+    A symbol's own form is the term map of its Berezin transform; a chain composes its
+    symbols' forms from the right, starting from the rightmost one's own form.  The zero
+    operator has the empty map.  All compositions of one call share one memo of
+    coordinate factors."""
     if len({chain.n for chain in chains}) > 1:
         raise ValueError("the chains of a sum must share one dimension")
     out, mass, memo = {}, {}, {}
     for chain in chains:
-        zero, czero = (0,) * chain.n, (0j,) * chain.n
         form = None
         for phi in reversed(chain.symbols):
-            parts = [
-                (((zero, b, czero, d), x), ((a, zero, c, czero), 1))
-                for (a, b, c, d), x in phi._map.items()
-            ]
-            own = _compose(parts, memo)
+            own = _tidy(*_transform(phi._map.items(), 1))
             form = own if form is None else _compose(product(own.items(), form.items()), memo)
         _merge(out, mass, form.items())
     return _tidy(out, mass)
@@ -244,6 +242,7 @@ def op_equal(a: OpChain | dict, b: OpChain | dict, tol: float = 1e-9) -> Operato
     are visited in a fixed order (a's keys, then b's others), so it is reproducible.
     a and b must share one n: a form's is its keys', and the empty form fits any n.
     """
+    _check_tol(tol)
     dims = [x.n if isinstance(x, OpChain) else len(next(iter(x))[0]) for x in (a, b) if x]
     if len(set(dims)) > 1:
         raise ValueError(f"dimension mismatch: {dims[0]} vs {dims[1]}")
@@ -259,6 +258,12 @@ def op_equal(a: OpChain | dict, b: OpChain | dict, tol: float = 1e-9) -> Operato
         if res > worst:
             worst, worst_key, terms = res, key, (len(x), len(y))
     return OperatorEqualityReport(worst, worst_key, terms, tol, worst <= tol)
+
+
+def _check_tol(tol: float) -> None:
+    """ValueError for a tol under which no residual passes (nan, < 0) or every one (inf)."""
+    if not 0 <= tol < float("inf"):
+        raise ValueError(f"tolerance must be non-negative and finite, got {tol!r}")
 
 
 def brown_halmos_h(f: Symbol, g: Symbol, u: Symbol, v: Symbol) -> Symbol:

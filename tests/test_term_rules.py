@@ -8,9 +8,10 @@ near-floor terms an intermediate drops, but never in the canonical keys.
 The last test checks the linearity laws of the closed rules on the same
 symbols: berezin is linear, sharp is linear in f and conjugate-linear in g,
 and toeplitz_apply is linear in the symbol and in the (multi-term) argument.
-The one coordinate factor of berezin, sharp and composition, the closed
-form of symbols._leibniz, is also checked against an exact sympy derivation
-of the Leibniz sum it stands for.
+berezin_inverse undoes berezin on mixed symbols and is sharp on f * conj(g).
+The one coordinate factor of berezin, berezin_inverse, sharp and composition,
+the closed form of symbols._leibniz, is also checked against an exact sympy
+derivation of the Leibniz sum it stands for.
 """
 
 import cmath
@@ -22,7 +23,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fockcalc.berezin import berezin
+from fockcalc.berezin import berezin, berezin_inverse
 from fockcalc.indices import mi_binomial, mi_order
 from fockcalc.sharp import sharp
 from fockcalc.symbols import Symbol, SymbolTerm, _leibniz, constant, exponential, monomial
@@ -167,6 +168,19 @@ def test_closed_rules_match_step_by_step_compositions(case):
     assert_same_symbol(berezin(phi), reference_berezin(phi))
 
 
+@settings(max_examples=60, deadline=None)
+@given(_case())
+def test_berezin_inverse_inverts_berezin(case):
+    phi, f, g = case
+    for got in (berezin(berezin_inverse(phi)), berezin_inverse(berezin(phi))):
+        assert relative_residual(got, phi) <= 1e-13
+    # on the range f * conj(g) the inverse is the sharp product
+    assert relative_residual(berezin_inverse(f * g.conj()), sharp(f, g)) <= 1e-13
+    # holomorphic and anti-holomorphic symbols are fixed points of both maps
+    for s in (f, g.conj()):
+        assert berezin(s) == s and berezin_inverse(s) == s
+
+
 def test_term_rule_underflow_is_a_value_error():
     # the results carry a factor exp(-900), 0 in floats, but are no small functions:
     # T_phi u is exp(30 z - 900), above 1 for z > 30, so it may not silently vanish
@@ -175,6 +189,7 @@ def test_term_rule_underflow_is_a_value_error():
         lambda: toeplitz_apply(anti, e30),
         lambda: sharp(exponential(1, c=[20]), exponential(1, c=[40])),
         lambda: berezin(e30 * anti),
+        lambda: berezin_inverse(e30 * exponential(1, d=[30])),
         lambda: normal_form(OpChain([anti, e30])),
     ):
         with pytest.raises(ValueError, match="exponential factor underflows the float range"):
@@ -188,6 +203,7 @@ def test_term_rule_overflow_is_a_value_error():
         lambda: toeplitz_apply(e, z100),
         lambda: sharp(z100, e.conj()),
         lambda: berezin(z100 * e),
+        lambda: berezin_inverse(z100 * e),
         lambda: normal_form(OpChain([e, z100])),
     ):
         with pytest.raises(ValueError, match="coefficient overflows the float range"):

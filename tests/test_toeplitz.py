@@ -1,6 +1,5 @@
 import math
 import random
-import sys
 from itertools import product
 
 import pytest
@@ -9,8 +8,9 @@ from hypothesis import strategies as st
 from test_toeplitz_reference import _symbol, reference_chain_apply
 
 from fockcalc import suites as suites_module
+from fockcalc import symbols as symbols_module
 from fockcalc import toeplitz as toeplitz_module
-from fockcalc.berezin import berezin, operator_berezin
+from fockcalc.berezin import berezin, berezin_inverse, operator_berezin
 from fockcalc.gaussian import fock_inner, symbol_integral
 from fockcalc.indices import mi_enumerate, mi_factorial
 from fockcalc.sharp import sharp
@@ -217,8 +217,10 @@ def test_term_rules_compute_each_coordinate_factor_once_per_call(monkeypatch):
     f, g = (random_holo(rng, n, 4, exp_prob=0.7, blocks=3) for _ in range(2))
     chain = OpChain([f + g.conj(), f * g.conj(), g + f.conj()])
     for module, name, run in (
-        (sys.modules["fockcalc.berezin"], "_leibniz", lambda: berezin(f * g.conj())),
-        (sys.modules["fockcalc.sharp"], "_leibniz", lambda: sharp(f, g)),
+        (symbols_module, "_leibniz", lambda: berezin(f * g.conj())),
+        (symbols_module, "_leibniz", lambda: berezin_inverse(f * g.conj())),
+        (symbols_module, "_leibniz", lambda: sharp(f, g)),
+        (symbols_module, "_derivative_at", lambda: f.shift([0.5 - 0.25j, 0.75])),
         (toeplitz_module, "_compose_factor", lambda: normal_form(chain)),
     ):
         # each rule adds its factor to the fresh dict it is passed first
@@ -230,6 +232,10 @@ def test_term_rules_compute_each_coordinate_factor_once_per_call(monkeypatch):
         calls.clear()
         assert run() == first
         assert calls == once
+    # holomorphic and antiholomorphic terms are fixed points, merged without factors
+    calls = _counting(monkeypatch, symbols_module, "_leibniz")
+    assert berezin(f + g.conj()) == f + g.conj()
+    assert calls == []
 
 
 def test_brown_halmos_builds_each_product_form_once(monkeypatch):
@@ -256,6 +262,16 @@ def test_brown_halmos_builds_each_product_form_once(monkeypatch):
     assert len(compared) == 2 * len(products)
     assert all(x is form for form, x in zip(products, compared[::2]))
     assert all(x is form for form, x in zip(products, compared[1::2]))
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1e-9])
+def test_a_tolerance_that_is_not_finite_and_non_negative_is_rejected(tol):
+    # nan or a negative tol would fail every pair, inf would pass every pair
+    a, b = OpChain([Z]), OpChain([Z + 1])
+    for compare in (op_equal, op_equal_on_basis):
+        with pytest.raises(ValueError, match="tolerance must be non-negative and finite"):
+            compare(a, b, tol=tol)
+    assert op_equal(a, a, tol=0.0).passed and op_equal_on_basis(a, a, tol=0.0).passed
 
 
 def test_factored_chain_matches_sharp_symbol():
@@ -329,6 +345,22 @@ def test_the_identity_form_is_a_unit_of_composition(case):
     identity = {(zero, zero, czero, czero): 1}
     for composed in (_composed(form, identity), _composed(identity, form)):
         assert composed == form and list(composed) == list(form)
+
+
+_dyadic = st.tuples(st.integers(-4, 4), st.integers(-4, 4)).map(lambda p: complex(*p) / 4)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_chain_case(), st.data())
+def test_the_normal_form_is_the_berezin_symbol_of_the_chain(case, data):
+    # two routes to B(T_chain)(zeta): the chain applied to the kernel K_zeta (toeplitz._image),
+    # and the form read as a symbol (Wick products of the factors' own forms, symbols._leibniz)
+    chain, _ = case
+    wick = Symbol._of(chain.n, dict(normal_form(chain)))
+    for _ in range(6):
+        zeta = data.draw(st.tuples(*[_dyadic] * chain.n))
+        expected = operator_berezin(chain, zeta)
+        assert abs(wick.eval(zeta) - expected) <= 1e-12 * max(1.0, abs(expected)), zeta
 
 
 def test_pure_pairs_compose_as_one_item(monkeypatch):
