@@ -8,7 +8,7 @@ operator identities end to end (see `fockcalc.suites` and the `fockcalc`
 command-line tool).
 """
 
-from .berezin import berezin, berezin_inverse, operator_berezin
+from .berezin import berezin, berezin_inverse, operator_berezin, toeplitz_symbol
 from .dsl import SymbolSyntaxError, format_symbol, parse_complex, parse_symbol
 from .gaussian import fock_inner, gaussian_moment, symbol_integral
 from .indices import mi_binomial, mi_enumerate, mi_factorial
@@ -70,6 +70,7 @@ __all__ = [
     "sharp",
     "symbol_integral",
     "toeplitz_apply",
+    "toeplitz_symbol",
     "zero",
 ]
 

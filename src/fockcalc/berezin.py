@@ -14,7 +14,10 @@ so the polynomial-times-exponential class is invariant and fixed-point
 statements become exact symbol equalities.  Holomorphic and
 anti-holomorphic symbols are fixed points.  The inverse is the same rule
 at sign -1: d, c, exp(c.d) and j! become -d, -c, exp(-c.d) and (-1)^j j!.
-Both are symbols._transform, its factor of coordinate k symbols._leibniz.
+Both are symbols._transform, its factor of coordinate k symbols._leibniz.  The
+normal form of an operator chain, read as a symbol, is the chain's Berezin
+transform, so berezin_inverse of it is the chain's Toeplitz symbol
+(toeplitz_symbol).
 
 Berezin transforms of operator compositions go through kernel vectors
 (K_zeta stays inside the holomorphic class), never matrix truncations.
@@ -25,17 +28,23 @@ from __future__ import annotations
 import cmath
 
 from .symbols import Symbol, _as_cvector, _transform, kernel
-from .toeplitz import OpChain
+from .toeplitz import OpChain, normal_form
 
 
 def berezin(s: Symbol) -> Symbol:
     """Berezin transform of a symbol, returned as a symbol in the same class."""
-    return Symbol._of(s.n, *_transform(s._map.items(), 1))
+    return Symbol._of(s.n, *_transform(s._map.items(), 1)[:2])
 
 
 def berezin_inverse(s: Symbol) -> Symbol:
     """The symbol u with berezin(u) = s, returned as a symbol in the same class."""
-    return Symbol._of(s.n, *_transform(s._map.items(), -1))
+    return Symbol._of(s.n, *_transform(s._map.items(), -1)[:2])
+
+
+def toeplitz_symbol(chain: OpChain) -> Symbol:
+    """The symbol phi with T_phi = the chain's operator: its normal form, read as a symbol,
+    is B(T_chain) = B(phi), so phi is berezin_inverse of it."""
+    return berezin_inverse(Symbol._of(chain.n, normal_form(chain)))
 
 
 def operator_berezin(chain: OpChain, zeta) -> complex:

@@ -54,10 +54,10 @@ from .symbols import (
     COEF_FLOOR,
     PARAM_STEP,
     Symbol,
-    _canonical_order,
     _checked,
     _conj,
     _drop_noise,
+    _finish,
     _in_range,
     _merge,
     _product,
@@ -392,7 +392,7 @@ def _exp_argument_error(arg: dict) -> str:
     """What is wrong with the exp argument arg, which has a bad term: its first bad
     term in canonical order names it."""
     bad = next(
-        key for key in _canonical_order(arg)
+        key for key in _finish(arg, {})
         if any(key[2]) or any(key[3]) or sum(key[0]) + sum(key[1]) > 1
     )
     if any(bad[2]) or any(bad[3]):

@@ -21,8 +21,9 @@ to this grid only where they enter: in Symbol(n, terms), which keeps a
 vector already on the grid as it is (a -0.0 stays), in the exp and K of
 the parser, and in gaussian_moment; a part that is not finite or out of
 range raises ValueError.  Inside, parameters are only added, negated and
-conjugated, which is exact below 2^13, so only the two rules that add them
-check the range: `_product` and the t.c + s.c of toeplitz_apply.  Terms
+conjugated, which is exact below 2^13, so only the rules that add them
+check the range: `_product`, the t.c + s.c of toeplitz_apply, the c + c2 and
+d + e of toeplitz's composition, and the parser's run of factors.  Terms
 with equal keys merge.  A merged coefficient is dropped when it is 0, or
 when two or more summands met at its key and its modulus is at most
 COEF_FLOOR = 1e-12 times the sum of theirs: only cancellation noise goes,
@@ -34,8 +35,9 @@ modulus overflows, raises ValueError.
 A Symbol holds n and its canonical term map {(a, b, c, d): coef}, in
 canonical order; `terms`, the public tuple of SymbolTerm, is built from it
 on each access.  The package's own operations read these maps, merge each
-result once into a term map (`_merge`, `_expand`), hand it to the private
-constructor Symbol._of to finish, and never write a symbol's map.
+result once into a term map (`_merge`), the closed term rules per exponential
+group {(c, d): {(a, b): coef}} (`_expand`), hand it to the private constructor
+Symbol._of to finish, and never write a symbol's map.
 `_product` is the one product rule, for Symbol.__mul__ and for `dsl`.
 
 Only this closed class is representable: no power series, no essential
@@ -48,6 +50,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from itertools import islice
 from operator import add
 from typing import Iterable
 
@@ -132,15 +135,8 @@ def _vec_sort_key(v: ComplexVector):
     return tuple(p for x in v for p in (x.real, x.imag))
 
 
-def _ab_sort_key(ab):
-    # Sorted in reverse, this is the graded-lex order: ascending degree, then
-    # descending a, then descending b.  No two monomials tie, so reversing
-    # cannot reorder equal keys.
-    return (-sum(ab[0]) - sum(ab[1]), ab)
-
-
-def _param_sort_key(key):
-    return (_vec_sort_key(key[2]), _vec_sort_key(key[3]))
+def _param_sort_key(cd):
+    return (_vec_sort_key(cd[0]), _vec_sort_key(cd[1]))
 
 
 def _checked(m: dict) -> dict:
@@ -153,8 +149,8 @@ def _checked(m: dict) -> dict:
     except OverflowError:  # finite parts, modulus beyond the float range
         raise ValueError("coefficient modulus overflows the float range") from None
     if not math.isfinite(total) and not all(map(cmath.isfinite, m.values())):
-        (a, b, _, _), x = next((key, x) for key, x in m.items() if not cmath.isfinite(x))
-        raise ValueError(f"non-finite coefficient {x} at z^{a} conj(z)^{b}")
+        key, x = next((key, x) for key, x in m.items() if not cmath.isfinite(x))
+        raise ValueError(f"non-finite coefficient {x} at z^{key[0]} conj(z)^{key[1]}")
     return m
 
 
@@ -203,28 +199,41 @@ def _keyed(n: int, raw: Iterable[SymbolTerm]):
         yield (a, b, _on_grid(t.c), _on_grid(t.d)), complex(t.coef)
 
 
-def _canonical_order(m: dict) -> list[tuple]:
-    """The keys of the term map m whose coefficient is nonzero, in canonical order."""
-    if len(m) < 2:
-        return [key for key, x in m.items() if x]
-    by_ab: dict[tuple, list[tuple]] = {}
-    for key, x in m.items():
-        if x:
-            by_ab.setdefault(key[:2], []).append(key)
-    out = []
-    for ab in sorted(by_ab, key=_ab_sort_key, reverse=True) if len(by_ab) > 1 else by_ab:
-        keys = by_ab[ab]
-        if len(keys) > 1:  # sort each monomial's keys on their own
-            keys.sort(key=_param_sort_key)
-        out += keys
-    return out
+def _group(out: dict, mass: dict, c, d) -> tuple[dict, dict]:
+    """The term map {(a, b): coef} of the exponential group (c, d) of the grouped map
+    out, and its mass (see _merge), each made empty if new."""
+    return out.setdefault((c, d), {}), mass.setdefault((c, d), {})
 
 
 def _finish(m: dict, mass: dict) -> dict:
-    """The term map m, merged with mass (see _merge), checked, without noise, in order."""
+    """The term map m, merged with mass keyed alike (see _merge), checked, without noise,
+    in order.  m is flat, or grouped {(c, d): {(a, b): coef}} (see _expand): one sort,
+    graded-lex on (a, b), then on the groups' parameters, each full key built once."""
+    if m and type(next(iter(m.values()))) is dict:
+        rows = [
+            (-sum(a) - sum(b), a, b, -r, (a, b, c, d), x)
+            for r, (c, d) in enumerate(sorted(m, key=_param_sort_key) if len(m) > 1 else m)
+            for (a, b), x in _drop_noise(_checked(m[c, d]), mass.get((c, d), {})).items()
+            if x
+        ]
+        rows.sort(reverse=True)  # no two rows tie before the key
+        return {key: x for _, _, _, _, key, x in rows}
     m = _drop_noise(_checked(m), mass)
-    order = _canonical_order(m)
-    return m if order == list(m) else {key: m[key] for key in order}
+    if len(m) < 2:
+        return m if all(m.values()) else {}
+    _, _, c, d = next(iter(m))
+    rank = None
+    for key in m:
+        if key[2] != c or key[3] != d:  # several groups
+            rank = {cd: -r for r, cd in enumerate(sorted({k[2:] for k in m}, key=_param_sort_key))}
+            break
+    rows = [
+        (-sum(key[0]) - sum(key[1]), key[0], key[1], rank[key[2:]] if rank else 0, key, x)
+        for key, x in m.items()
+        if x
+    ]
+    rows.sort(reverse=True)
+    return m if [row[4] for row in rows] == list(m) else {key: x for _, _, _, _, key, x in rows}
 
 
 class Symbol:
@@ -245,9 +254,9 @@ class Symbol:
 
     @classmethod
     def _of(cls, n: int, m: dict, mass: dict | None = None) -> "Symbol":
-        """The canonical symbol of the term map m on C^n, which it takes over, merged
-        with mass as _merge keeps it (None: m has no noise); for the package's own
-        results: keys of length n, parameters on the grid, complex coefficients."""
+        """The canonical symbol of the term map m on C^n, flat or grouped (see _finish),
+        which it takes over, merged with mass as _merge keeps it (None: m has no noise);
+        for the package's results: keys of length n, grid parameters, complex coefficients."""
         self = object.__new__(cls)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "_map", _finish(m, mass or {}))
@@ -569,31 +578,47 @@ def _factors(memo: dict, rule, coordinates, *extra) -> list[dict]:
         raise ValueError("coefficient overflows the float range") from None
 
 
-def _expand(out: dict, mass: dict, coef: complex, factors: list[dict], c, d) -> None:
-    """Merge the items of coef * prod_k factors[k] * exp(z.c + conj(z).d) into the term
-    map out, as _merge(out, mass, items) does.
+def _expand(out: dict, mass: dict, coef: complex, factors: list[dict], c, d) -> dict:
+    """Merge the items ((a, b), w) of coef * prod_k factors[k] * exp(z.c + conj(z).d)
+    into the exponential group (c, d) of the grouped term map out, as
+    _merge(*_group(out, mass, c, d), items) does; the group.
 
     factors[k] maps (a_k, b_k) to the coefficient of z_k^a_k conj(z_k)^b_k.
     """
     acc = [(coef, (), ())]
     for f in factors:
         acc = [(w * x, a + (i,), b + (j,)) for w, a, b in acc for (i, j), x in f.items()]
-    _merge(out, mass, [((a, b, c, d), w) for w, a, b in acc])
+    return _merge(*_group(out, mass, c, d), [((a, b), w) for w, a, b in acc])
 
 
-def _transform(items: Iterable[tuple], sign: int) -> tuple[dict, dict]:
-    """(out, mass) of _merge for the Berezin transform (sign +1) or its inverse (sign -1)
-    of the terms ((a, b, c, d), coef) of items, each expanded straight into out (see
+def _transform(items: Iterable[tuple], sign: int) -> tuple[dict, dict, list]:
+    """(out, mass, merges) of _flat for the Berezin transform (sign +1) or its inverse (sign
+    -1) of the terms ((a, b, c, d), coef) of items, each expanded into its group (c, d) (see
     berezin.py); a term with b = 0 and d = 0, or a = 0 and c = 0, is a fixed point."""
-    out, mass, memo = {}, {}, {}
+    out, mass, memo, merges = {}, {}, {}, []
     for (a, b, c, d), x in items:
         sd = d if sign > 0 else tuple(-y for y in d)
         x *= _exp_factor(c, sd)
         if not (any(b) or any(d)) or not (any(a) or any(c)):
-            _merge(out, mass, [((a, b, c, d), x)])
+            group = _merge(*_group(out, mass, c, d), [((a, b), x)])
         else:
-            _expand(out, mass, x, _factors(memo, _leibniz, zip(a, c, b, sd), sign, 0), c, d)
-    return out, mass
+            group = _expand(out, mass, x, _factors(memo, _leibniz, zip(a, c, b, sd), sign, 0), c, d)
+        merges.append((group, len(group)))
+    return out, mass, merges
+
+
+def _flat(out: dict, mass: dict, merges: list) -> dict:
+    """The grouped term map out (see _expand for mass), flat, without noise or zeros, in the
+    order its keys first met: merges lists each merge's group and the group's size after it."""
+    groups = {id(g): (iter(g), _tidy(dict(g), mass.get(cd, {})), cd) for cd, g in out.items()}
+    read, flat = {}, {}
+    for group, size in merges:
+        keys, tidy, (c, d) = groups[id(group)]
+        for a, b in islice(keys, size - read.get(id(group), 0)):
+            if (a, b) in tidy:
+                flat[a, b, c, d] = tidy[a, b]
+        read[id(group)] = size
+    return flat
 
 
 def relative_residual(s: Symbol, ref: Symbol) -> float:

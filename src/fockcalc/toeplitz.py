@@ -16,9 +16,10 @@ the argument by the anti-holomorphic exponential parameter.
 Actions keep this rule, since an action needs only the terms of its
 input, which is cheaper than building the operator first.  T_phi is linear,
 so an image T_phi u expands each pair of a term of u and a term of phi per
-coordinate (a multiplier term, b = 0 and d = 0, as one item) straight into
-one term map, canonicalized once.  toeplitz_apply, OpChain.apply and basis_images
-take this one path, the factors (symbols._derivative_at) memoized per call or sweep.
+coordinate (a multiplier term, b = 0 and d = 0, as one item) into its
+exponential group (c + c_u, 0) of one grouped term map, canonicalized once.
+toeplitz_apply, OpChain.apply and basis_images take this one path, the factors
+(symbols._derivative_at) memoized per call or sweep.
 
 Chain identities are decided on the normal form instead, since it is exact
 on the whole class.  By Leibniz's rule each operator of the class is
@@ -38,7 +39,10 @@ form is the operator's Berezin transform.  As B(T_phi) = B(phi), a chain's form 
 from berezin of its rightmost symbol and composes the others onto it (a Wick product).  A
 pair whose Leibniz rule has one term (a multiplier on the left, a pure shifted derivative
 on the right) is one entry, so T_{f + conj g} T_{u + conj v} expands conj(g)-u pairs only.
-Other pairs take berezin's coordinate factor, symbols._leibniz at sign +1.
+Other pairs take berezin's coordinate factor, symbols._leibniz at sign +1.  Entries merge
+per exponential group (c + c2, d + e), and a form lists its entries in the order they were
+first merged, as one flat map of the same items would.  berezin.toeplitz_symbol reads a
+form back: berezin_inverse of it is the one symbol phi with T_phi equal to the chain.
 
 Unboundedness of these operators is an analytic matter deliberately
 ignored here: computations are the densely-defined actions on the
@@ -54,12 +58,12 @@ from typing import Iterator, Sequence
 
 from .indices import MultiIndex, mi_enumerate, mi_factorial
 from .sharp import sharp
-from .symbols import Symbol, _derivative_at, _exp_factor, _expand, _factors, _in_range, _leibniz
-from .symbols import _merge, _residual, _tidy, _transform, relative_residual
+from .symbols import Symbol, _derivative_at, _exp_factor, _expand, _factors, _flat, _group
+from .symbols import _in_range, _leibniz, _merge, _residual, _tidy, _transform, relative_residual
 
 
 def _image(phi: Symbol, u: Symbol, factors: dict) -> Symbol:
-    """T_phi u, expanded from each pair of a term of u and a term of phi into one map.
+    """T_phi u, expanded from each pair of a term of u and a term of phi into its group.
 
     factors maps the arguments (m, e, p, s) of the per-coordinate rule
     _derivative_at to its result, and gains the ones this image needs.
@@ -70,13 +74,14 @@ def _image(phi: Symbol, u: Symbol, factors: dict) -> Symbol:
         for (a, b, c, d), x in phi._map.items():
             e = _in_range(tuple(map(add, c, uc)))
             if not (any(b) or any(d)):  # a multiplier: one item
-                _merge(out, mass, [((tuple(map(add, a, ua)), b, e, czero), x * y)])
+                _merge(*_group(out, mass, e, czero), [((tuple(map(add, a, ua)), b), x * y)])
                 continue
             coordinate_factors = _factors(factors, _derivative_at, zip(map(add, a, ua), e, b, d))
             _expand(out, mass, x * y * _exp_factor(d, e), coordinate_factors, e, czero)
-    if any(any(b) or any(d) for _, b, _, d in out):
+    image = Symbol._of(phi.n, out, mass)
+    if not image.is_holomorphic:
         raise ValueError("toeplitz_apply produced a non-holomorphic result")
-    return Symbol._of(phi.n, out, mass)
+    return image
 
 
 def toeplitz_apply(phi: Symbol, u: Symbol) -> Symbol:
@@ -173,17 +178,19 @@ def _compose(pairs, memo: dict) -> dict:
     ((a, beta, c, d), x) of A and ((a2, gamma, c2, e), y) of B: by Leibniz's rule, for
     each kappa <= beta, (gamma + kappa, d + e) -> x z^a exp(z.c) C(beta, kappa)
     (D^(beta-kappa) h)(z + d) with h(w) = y w^a2 exp(w.c2); one item, x y, when beta = 0
-    and d = 0, or a2 = 0 and c2 = 0.  memo maps the arguments of _compose_factor to its result."""
-    out, mass = {}, {}
+    and d = 0, or a2 = 0 and c2 = 0.  Items merge per group (c + c2, d + e).  memo maps
+    the arguments of _compose_factor to its result."""
+    out, mass, merges = {}, {}, []
     for ((a, beta, c, d), x), ((a2, gamma, c2, e), y) in pairs:
         params = _in_range(tuple(map(add, c, c2))), _in_range(tuple(map(add, d, e)))
         if not (any(beta) or any(d)) or not (any(a2) or any(c2)):  # one Leibniz term
-            key = tuple(map(add, a, a2)), tuple(map(add, beta, gamma)), *params
-            _merge(out, mass, [(key, x * y)])
-            continue
-        factors = _factors(memo, _compose_factor, zip(a, a2, c2, beta, d, gamma))
-        _expand(out, mass, x * y * _exp_factor(d, c2), factors, *params)
-    return _tidy(out, mass)
+            key = tuple(map(add, a, a2)), tuple(map(add, beta, gamma))
+            group = _merge(*_group(out, mass, *params), [(key, x * y)])
+        else:
+            factors = _factors(memo, _compose_factor, zip(a, a2, c2, beta, d, gamma))
+            group = _expand(out, mass, x * y * _exp_factor(d, c2), factors, *params)
+        merges.append((group, len(group)))
+    return _flat(out, mass, merges)
 
 
 def _compose_factor(out: dict, m: int, m2: int, c2k: complex, p: int, s: complex, g: int):
@@ -205,7 +212,7 @@ def normal_form(*chains: OpChain) -> dict:
     for chain in chains:
         form = None
         for phi in reversed(chain.symbols):
-            own = _tidy(*_transform(phi._map.items(), 1))
+            own = _flat(*_transform(phi._map.items(), 1))
             form = own if form is None else _compose(product(own.items(), form.items()), memo)
         _merge(out, mass, form.items())
     return _tidy(out, mass)

@@ -10,7 +10,7 @@ from test_toeplitz_reference import _symbol, reference_chain_apply
 from fockcalc import suites as suites_module
 from fockcalc import symbols as symbols_module
 from fockcalc import toeplitz as toeplitz_module
-from fockcalc.berezin import berezin, berezin_inverse, operator_berezin
+from fockcalc.berezin import berezin, berezin_inverse, operator_berezin, toeplitz_symbol
 from fockcalc.gaussian import fock_inner, symbol_integral
 from fockcalc.indices import mi_enumerate, mi_factorial
 from fockcalc.sharp import sharp
@@ -361,6 +361,33 @@ def test_the_normal_form_is_the_berezin_symbol_of_the_chain(case, data):
         zeta = data.draw(st.tuples(*[_dyadic] * chain.n))
         expected = operator_berezin(chain, zeta)
         assert abs(wick.eval(zeta) - expected) <= 1e-12 * max(1.0, abs(expected)), zeta
+
+
+@settings(max_examples=40, deadline=None)
+@given(_chain_case())
+def test_a_chain_is_the_toeplitz_operator_of_its_symbol(case):
+    chain, _ = case
+    rep = op_equal(OpChain([toeplitz_symbol(chain)]), chain)
+    assert rep.passed, (rep.max_residual, rep.where)
+
+
+def test_the_symbol_of_a_pluriharmonic_pair_is_the_brown_halmos_h():
+    rng = random.Random(61)
+    for n in (1, 2, 3):
+        for _ in range(6):
+            f, g, u, v = (random_holo(rng, n, 3, exp_prob=0.5) for _ in range(4))
+            h = toeplitz_symbol(OpChain([f + g.conj(), u + v.conj()]))
+            assert relative_residual(h, brown_halmos_h(f, g, u, v)) <= 1e-12
+
+
+def test_a_chain_with_a_zero_factor_has_the_zero_symbol():
+    # the trivial case of the zero-product question: a zero factor makes the whole product 0
+    rng = random.Random(67)
+    for n in (1, 2, 3):
+        phi = random_holo(rng, n, 3) + random_holo(rng, n, 3).conj()
+        psi = random_holo(rng, n, 3, exp_prob=1.0)
+        for symbols in ([zero(n)], [zero(n), phi], [phi, zero(n)], [phi, zero(n), psi]):
+            assert toeplitz_symbol(OpChain(symbols)) == zero(n)
 
 
 def test_pure_pairs_compose_as_one_item(monkeypatch):
