@@ -33,12 +33,12 @@ from .toeplitz import OpChain, normal_form
 
 def berezin(s: Symbol) -> Symbol:
     """Berezin transform of a symbol, returned as a symbol in the same class."""
-    return Symbol._of(s.n, *_transform(s._map.items(), 1)[:2])
+    return Symbol._of(s.n, *_transform(s._map.items(), 1))
 
 
 def berezin_inverse(s: Symbol) -> Symbol:
     """The symbol u with berezin(u) = s, returned as a symbol in the same class."""
-    return Symbol._of(s.n, *_transform(s._map.items(), -1)[:2])
+    return Symbol._of(s.n, *_transform(s._map.items(), -1))
 
 
 def toeplitz_symbol(chain: OpChain) -> Symbol:

@@ -49,7 +49,7 @@ import re
 from bisect import bisect_right
 from operator import add
 
-from .indices import MAX_EXPONENT
+from .indices import MAX_EXPONENT, _as_int
 from .symbols import (
     COEF_FLOOR,
     PARAM_STEP,
@@ -402,6 +402,7 @@ def _exp_argument_error(arg: dict) -> str:
 
 def parse_symbol(text: str, n: int) -> Symbol:
     """Parse the notation above into a canonical symbol on C^n."""
+    n = _as_int(n, "dimension")
     if n < 1:
         raise ValueError("dimension must be >= 1")
     if not text.strip():

@@ -38,6 +38,17 @@ def as_multi_index(i: Iterable[int]) -> MultiIndex:
     return t
 
 
+def _as_int(k, name: str) -> int:
+    """k as an int, by the rule of as_multi_index: ValueError naming the argument for a
+    value that is not an integer (2.5, "2", nan), which int() would truncate or parse."""
+    try:
+        if int(k) == k:
+            return int(k)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValueError(f"{name} must be an integer, got {k!r}")
+
+
 def mi_order(i: MultiIndex) -> int:
     """Total order |i| = sum of entries."""
     return sum(i)
@@ -84,7 +95,7 @@ def mi_enumerate(n: int, max_order: int) -> list[MultiIndex]:
     The order is the canonical basis order for every report in the package.
     Each call returns a new list; the enumeration itself is cached.
     """
-    return list(_enumerate(n, max_order))
+    return list(_enumerate(_as_int(n, "dimension"), _as_int(max_order, "order bound")))
 
 
 @lru_cache(maxsize=64)

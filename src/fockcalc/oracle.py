@@ -52,6 +52,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
 
+from .indices import _as_int
 from .sharp import sharp
 from .symbols import Symbol
 
@@ -133,6 +134,7 @@ def quad_integral(s: Symbol, order: int | None = None) -> complex:
         raise ValueError("quadrature oracle is limited to n <= 2")
     if order is None:
         order = min(MAX_ORDER, DEFAULT_ORDER[n] + max(0, s.degree() - DEGREE_BASE))
+    order = _as_int(order, "quadrature order")
     if not 1 <= order <= MAX_ORDER:
         raise ValueError(f"quadrature order must be between 1 and {MAX_ORDER}")
     _check_params(s, PARAM_BOUND)
@@ -165,13 +167,13 @@ def lemma_l1_check(
         raise ValueError("inputs must be holomorphic symbols")
     _check_params(f, 1.0)
     _check_params(g, 1.0)
-    if grid_points < MIN_GRID_POINTS:
+    N = _as_int(grid_points, "grid_points")
+    if N < MIN_GRID_POINTS:
         raise ValueError(f"grid too coarse: need at least {MIN_GRID_POINTS} points")
-    if grid_half_width <= 0:
-        raise ValueError("grid half-width must be positive")
+    if not 0 < grid_half_width < math.inf:  # also rejects nan
+        raise ValueError(f"grid_half_width must be positive and finite, got {grid_half_width!r}")
 
     L = float(grid_half_width)
-    N = int(grid_points)
     h = 2.0 * L / N
     x = -L + (np.arange(N) + 0.5) * h
     gauss = np.exp(-x * x / 4.0)

@@ -36,4 +36,4 @@ def sharp(f: Symbol, g: Symbol) -> Symbol:
         for gamma, q in [(gcoef.conjugate(), tuple(x.conjugate() + 0j for x in gc))]
         for (fa, _, fc, _), fcoef in f._map.items()
     )
-    return Symbol._of(f.n, *_transform(pairs, -1)[:2])
+    return Symbol._of(f.n, *_transform(pairs, -1))

@@ -35,7 +35,7 @@ from .symbols import (
     relative_residual,
     zero,
 )
-from .symbols import _merge, _snap, _tidy
+from .symbols import _finish, _merge, _snap
 from .toeplitz import OpChain, brown_halmos_h, commutator_defect, normal_form, op_equal
 from .toeplitz import op_equal_on_basis
 
@@ -128,14 +128,14 @@ def random_polynomial(
 
 
 def _polynomial_map(rng, n, degree, max_terms, radius, min_degree=0) -> dict:
-    """The term map of random_polynomial, merged, without noise or zeros."""
+    """The canonical term map of random_polynomial (see symbols._finish)."""
     idx, b, cz = mi_enumerate(n, degree), (0,) * n, (0j,) * n
     out: dict = {}
     while not out or max(sum(a) for a, _, _, _ in out) < min_degree:
         mass: dict = {}
         terms = rng.randint(1, max_terms)
         draws = [((rng.choice(idx), b, cz, cz), unit_disc(rng, radius)) for _ in range(terms)]
-        out = _tidy(_merge({}, mass, draws), mass)
+        out = _finish(_merge({}, mass, draws), mass)
     return out
 
 

@@ -50,11 +50,10 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from itertools import islice
 from operator import add
 from typing import Iterable
 
-from .indices import MAX_EXPONENT, MultiIndex, as_multi_index
+from .indices import MAX_EXPONENT, MultiIndex, _as_int, as_multi_index
 
 #: exponential parameter parts are rounded to multiples of this grid step
 PARAM_STEP = 2.0**-40
@@ -179,11 +178,6 @@ def _drop_noise(m: dict, mass: dict) -> dict:
     return m
 
 
-def _tidy(m: dict, mass: dict) -> dict:
-    """The merged term map m (see _merge for mass), without cancellation noise or zeros."""
-    return {key: x for key, x in _drop_noise(m, mass).items() if x}
-
-
 def _on_grid(v: ComplexVector) -> ComplexVector:
     """v if it is on the grid already (a -0.0 stays), else v snapped to it."""
     w = _snap(v) if any(v) else v
@@ -246,11 +240,12 @@ class Symbol:
     __slots__ = ("n", "_map")
 
     def __init__(self, n: int, terms: Iterable[SymbolTerm] = ()):
+        n = _as_int(n, "dimension")
         if n < 1:
             raise ValueError("dimension must be >= 1")
-        object.__setattr__(self, "n", int(n))
+        object.__setattr__(self, "n", n)
         mass: dict = {}
-        object.__setattr__(self, "_map", _finish(_merge({}, mass, _keyed(int(n), terms)), mass))
+        object.__setattr__(self, "_map", _finish(_merge({}, mass, _keyed(n, terms)), mass))
 
     @classmethod
     def _of(cls, n: int, m: dict, mass: dict | None = None) -> "Symbol":
@@ -375,9 +370,9 @@ class Symbol:
 
     def dz(self, k: int) -> "Symbol":
         """Wirtinger derivative d/dz_k (1-based k); conj(z) is a constant."""
-        if not 1 <= k <= self.n:
+        i = _as_int(k, "coordinate index") - 1
+        if not 0 <= i < self.n:
             raise ValueError(f"coordinate index {k} out of range 1..{self.n}")
-        i = k - 1
         items = []
         for key, x in self._map.items():
             a, b, c, d = key
@@ -502,7 +497,7 @@ def constant(n: int, value: complex = 1) -> Symbol:
 
 def coordinate(n: int, k: int) -> Symbol:
     """The coordinate function z_k (1-based k)."""
-    if not 1 <= k <= n:
+    if not 1 <= _as_int(k, "coordinate index") <= n:
         raise ValueError(f"coordinate index {k} out of range 1..{n}")
     a = tuple(1 if j == k - 1 else 0 for j in range(n))
     return monomial(n, a)
@@ -578,47 +573,32 @@ def _factors(memo: dict, rule, coordinates, *extra) -> list[dict]:
         raise ValueError("coefficient overflows the float range") from None
 
 
-def _expand(out: dict, mass: dict, coef: complex, factors: list[dict], c, d) -> dict:
+def _expand(out: dict, mass: dict, coef: complex, factors: list[dict], c, d) -> None:
     """Merge the items ((a, b), w) of coef * prod_k factors[k] * exp(z.c + conj(z).d)
     into the exponential group (c, d) of the grouped term map out, as
-    _merge(*_group(out, mass, c, d), items) does; the group.
+    _merge(*_group(out, mass, c, d), items) does.
 
     factors[k] maps (a_k, b_k) to the coefficient of z_k^a_k conj(z_k)^b_k.
     """
     acc = [(coef, (), ())]
     for f in factors:
         acc = [(w * x, a + (i,), b + (j,)) for w, a, b in acc for (i, j), x in f.items()]
-    return _merge(*_group(out, mass, c, d), [((a, b), w) for w, a, b in acc])
+    _merge(*_group(out, mass, c, d), [((a, b), w) for w, a, b in acc])
 
 
-def _transform(items: Iterable[tuple], sign: int) -> tuple[dict, dict, list]:
-    """(out, mass, merges) of _flat for the Berezin transform (sign +1) or its inverse (sign
-    -1) of the terms ((a, b, c, d), coef) of items, each expanded into its group (c, d) (see
+def _transform(items: Iterable[tuple], sign: int) -> tuple[dict, dict]:
+    """(out, mass) for _finish: the grouped term map (see _expand) of the Berezin transform
+    (sign +1) or its inverse (sign -1) of the terms ((a, b, c, d), coef) of items (see
     berezin.py); a term with b = 0 and d = 0, or a = 0 and c = 0, is a fixed point."""
-    out, mass, memo, merges = {}, {}, {}, []
+    out, mass, memo = {}, {}, {}
     for (a, b, c, d), x in items:
         sd = d if sign > 0 else tuple(-y for y in d)
         x *= _exp_factor(c, sd)
         if not (any(b) or any(d)) or not (any(a) or any(c)):
-            group = _merge(*_group(out, mass, c, d), [((a, b), x)])
+            _merge(*_group(out, mass, c, d), [((a, b), x)])
         else:
-            group = _expand(out, mass, x, _factors(memo, _leibniz, zip(a, c, b, sd), sign, 0), c, d)
-        merges.append((group, len(group)))
-    return out, mass, merges
-
-
-def _flat(out: dict, mass: dict, merges: list) -> dict:
-    """The grouped term map out (see _expand for mass), flat, without noise or zeros, in the
-    order its keys first met: merges lists each merge's group and the group's size after it."""
-    groups = {id(g): (iter(g), _tidy(dict(g), mass.get(cd, {})), cd) for cd, g in out.items()}
-    read, flat = {}, {}
-    for group, size in merges:
-        keys, tidy, (c, d) = groups[id(group)]
-        for a, b in islice(keys, size - read.get(id(group), 0)):
-            if (a, b) in tidy:
-                flat[a, b, c, d] = tidy[a, b]
-        read[id(group)] = size
-    return flat
+            _expand(out, mass, x, _factors(memo, _leibniz, zip(a, c, b, sd), sign, 0), c, d)
+    return out, mass
 
 
 def relative_residual(s: Symbol, ref: Symbol) -> float:

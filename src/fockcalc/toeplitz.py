@@ -40,9 +40,10 @@ from berezin of its rightmost symbol and composes the others onto it (a Wick pro
 pair whose Leibniz rule has one term (a multiplier on the left, a pure shifted derivative
 on the right) is one entry, so T_{f + conj g} T_{u + conj v} expands conj(g)-u pairs only.
 Other pairs take berezin's coordinate factor, symbols._leibniz at sign +1.  Entries merge
-per exponential group (c + c2, d + e), and a form lists its entries in the order they were
-first merged, as one flat map of the same items would.  berezin.toeplitz_symbol reads a
-form back: berezin_inverse of it is the one symbol phi with T_phi equal to the chain.
+per exponential group (c + c2, d + e), and every form is finished as a Symbol is
+(symbols._finish): it is the canonical term map of B(T_chain), in canonical order, so
+Symbol._of(n, form) keeps it as it is.  berezin.toeplitz_symbol reads a form back:
+berezin_inverse of it is the one symbol phi with T_phi equal to the chain.
 
 Unboundedness of these operators is an analytic matter deliberately
 ignored here: computations are the densely-defined actions on the
@@ -58,8 +59,8 @@ from typing import Iterator, Sequence
 
 from .indices import MultiIndex, mi_enumerate, mi_factorial
 from .sharp import sharp
-from .symbols import Symbol, _derivative_at, _exp_factor, _expand, _factors, _flat, _group
-from .symbols import _in_range, _leibniz, _merge, _residual, _tidy, _transform, relative_residual
+from .symbols import Symbol, _derivative_at, _exp_factor, _expand, _factors, _finish, _group
+from .symbols import _in_range, _leibniz, _merge, _residual, _transform, relative_residual
 
 
 def _image(phi: Symbol, u: Symbol, factors: dict) -> Symbol:
@@ -174,23 +175,22 @@ def op_equal_on_basis(
 
 
 def _compose(pairs, memo: dict) -> dict:
-    """The term map, without noise or zeros, of the sum of A o B over the pairs of entries
+    """The canonical term map (see _finish) of the sum of A o B over the pairs of entries
     ((a, beta, c, d), x) of A and ((a2, gamma, c2, e), y) of B: by Leibniz's rule, for
     each kappa <= beta, (gamma + kappa, d + e) -> x z^a exp(z.c) C(beta, kappa)
     (D^(beta-kappa) h)(z + d) with h(w) = y w^a2 exp(w.c2); one item, x y, when beta = 0
     and d = 0, or a2 = 0 and c2 = 0.  Items merge per group (c + c2, d + e).  memo maps
     the arguments of _compose_factor to its result."""
-    out, mass, merges = {}, {}, []
+    out, mass = {}, {}
     for ((a, beta, c, d), x), ((a2, gamma, c2, e), y) in pairs:
         params = _in_range(tuple(map(add, c, c2))), _in_range(tuple(map(add, d, e)))
         if not (any(beta) or any(d)) or not (any(a2) or any(c2)):  # one Leibniz term
             key = tuple(map(add, a, a2)), tuple(map(add, beta, gamma))
-            group = _merge(*_group(out, mass, *params), [(key, x * y)])
+            _merge(*_group(out, mass, *params), [(key, x * y)])
         else:
             factors = _factors(memo, _compose_factor, zip(a, a2, c2, beta, d, gamma))
-            group = _expand(out, mass, x * y * _exp_factor(d, c2), factors, *params)
-        merges.append((group, len(group)))
-    return _flat(out, mass, merges)
+            _expand(out, mass, x * y * _exp_factor(d, c2), factors, *params)
+    return _finish(out, mass)
 
 
 def _compose_factor(out: dict, m: int, m2: int, c2k: complex, p: int, s: complex, g: int):
@@ -200,9 +200,9 @@ def _compose_factor(out: dict, m: int, m2: int, c2k: complex, p: int, s: complex
 
 
 def normal_form(*chains: OpChain) -> dict:
-    """The normal form {(a, beta, c, e): coef} of the sum of the chains' operators.
-
-    A symbol's own form is the term map of its Berezin transform; a chain composes its
+    """The normal form {(a, beta, c, e): coef} of the sum of the chains' operators: the
+    canonical term map of its Berezin transform (see _finish; ValueError for a coefficient
+    that is not finite).  A symbol's own form is berezin(phi)._map; a chain composes its
     symbols' forms from the right, starting from the rightmost one's own form.  The zero
     operator has the empty map.  All compositions of one call share one memo of
     coordinate factors."""
@@ -212,10 +212,10 @@ def normal_form(*chains: OpChain) -> dict:
     for chain in chains:
         form = None
         for phi in reversed(chain.symbols):
-            own = _flat(*_transform(phi._map.items(), 1))
+            own = _finish(*_transform(phi._map.items(), 1))
             form = own if form is None else _compose(product(own.items(), form.items()), memo)
         _merge(out, mass, form.items())
-    return _tidy(out, mass)
+    return _finish(out, mass)
 
 
 @dataclass(frozen=True)

@@ -370,6 +370,13 @@ def test_literal_sum_that_overflows_is_not_dropped_as_noise():
         parse_symbol("(1e308 + 1e308)^0", 1)
 
 
+@pytest.mark.parametrize("n", [1.5, "1"])
+def test_a_dimension_that_is_not_an_integer_is_rejected(n):
+    with pytest.raises(ValueError, match="dimension must be an integer"):
+        parse_symbol("z1", n)
+    assert parse_symbol("z1", 1.0) == coordinate(1, 1)
+
+
 def test_trailing_input_rejected():
     with pytest.raises(SymbolSyntaxError):
         parse_symbol("z1 z1", 1)

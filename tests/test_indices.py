@@ -140,6 +140,13 @@ def test_enumerate_errors():
         mi_enumerate(2, -1)
 
 
+@pytest.mark.parametrize("n, max_order", [(2, 2.5), (2.5, 2), ("2", 2), (2, math.nan)])
+def test_enumerate_rejects_sizes_that_are_not_integers(n, max_order):
+    with pytest.raises(ValueError, match="must be an integer"):
+        mi_enumerate(n, max_order)
+    assert mi_enumerate(2.0, True) == mi_enumerate(2, 1)
+
+
 @pytest.mark.parametrize("entries", [(1.5,), (0, 0.5), (math.nan,), (math.inf,), ("1",), (None,)])
 def test_as_multi_index_rejects_entries_that_are_not_integers(entries):
     with pytest.raises(ValueError, match="multi-index entries must be integers"):

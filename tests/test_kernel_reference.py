@@ -1,15 +1,18 @@
 """The grouped term-rule kernel against the flat one it replaced, bit for bit.
 
 The package merges the results of its term rules per exponential group,
-{(c, d): {(a, b): coef}}, and builds each full key once when it finishes
-the map.  The reference below is the flat kernel that merged every summand
-under its full key (a, b, c, d) and ordered the finished map by bucketing
-its keys per monomial.  Both add the summands of one key in the same order,
-so each map must agree with the reference in its keys, their order and the
-bits of every coefficient (signed zeros included); a tolerance could not see
-a change of summation order.  The inputs carry two or three exponential
-groups that share monomials, with coefficients and parameters on eighths, so
-that keys merge, sums of parameters collide, and some sums cancel to noise.
+{(c, d): {(a, b): coef}}, and builds each full key once when it finishes the
+map.  The reference below is the flat kernel that merged every summand under its
+full key (a, b, c, d) and ordered the finished map by bucketing its keys per
+monomial.  Both add the summands of one key in the same order, so each map
+must agree with the reference in its keys, their order and the bits of every
+coefficient (signed zeros included); a tolerance could not see a change of
+summation order.  Normal forms are finished as every other map is, so they
+are canonical: a one-symbol chain's form is berezin's map of its symbol, and
+Symbol._of keeps every form's order as it is.  The inputs carry two or three
+exponential groups that share monomials, with coefficients and parameters on
+eighths, so that keys merge, sums of parameters collide, and some sums
+cancel to noise.
 """
 
 import math
@@ -21,7 +24,7 @@ from hypothesis import strategies as st
 
 from fockcalc import OpChain, berezin, berezin_inverse, normal_form, sharp, toeplitz_apply
 from fockcalc.symbols import Symbol, SymbolTerm, _checked, _derivative_at, _drop_noise
-from fockcalc.symbols import _exp_factor, _factors, _in_range, _leibniz, _tidy, _vec_sort_key
+from fockcalc.symbols import _exp_factor, _factors, _in_range, _leibniz, _vec_sort_key
 from fockcalc.toeplitz import _compose_factor
 
 # -- the flat kernel -------------------------------------------------------------
@@ -137,7 +140,7 @@ def ref_compose(pairs, memo):
             continue
         factors = _factors(memo, _compose_factor, zip(a, a2, c2, beta, d, gamma))
         ref_expand(out, mass, x * y * _exp_factor(d, c2), factors, *params)
-    return _tidy(out, mass)
+    return ref_finish(out, mass)
 
 
 def ref_normal_form(*chains):
@@ -145,10 +148,10 @@ def ref_normal_form(*chains):
     for chain in chains:
         form = None
         for phi in reversed(chain.symbols):
-            own = _tidy(*ref_transform(phi._map.items(), 1))
+            own = ref_finish(*ref_transform(phi._map.items(), 1))
             form = own if form is None else ref_compose(product(own.items(), form.items()), memo)
         ref_merge(out, mass, form.items())
-    return _tidy(out, mass)
+    return ref_finish(out, mass)
 
 
 # -- inputs ------------------------------------------------------------------------
@@ -203,6 +206,9 @@ def test_grouped_kernel_reproduces_the_flat_kernel_bit_for_bit(case):
     chains = [OpChain([phi])]
     if phi.n < 3:  # a two-symbol form at n = 3 grows to thousands of entries
         chains += [OpChain([phi, psi]), OpChain([psi, f + g.conj()])]
-    for chain in chains:
-        _same(normal_form(chain), ref_normal_form(chain))
-    _same(normal_form(*chains), ref_normal_form(*chains))
+    assert repr(normal_form(chains[0])) == repr(berezin(phi)._map)
+    forms = [(normal_form(chain), ref_normal_form(chain)) for chain in chains]
+    forms.append((normal_form(*chains), ref_normal_form(*chains)))
+    for form, ref in forms:
+        _same(form, ref)
+        assert list(form) == list(Symbol._of(phi.n, dict(form))._map)

@@ -51,6 +51,13 @@ def test_quad_guards():
         quad_integral(exponential(1, c=[2.5]))
 
 
+@pytest.mark.parametrize("order", [2.5, "40", float("nan")])
+def test_a_quadrature_order_that_is_not_an_integer_is_rejected(order):
+    with pytest.raises(ValueError, match="quadrature order must be an integer"):
+        quad_integral(ONE, order)
+    assert quad_integral(ONE, 40.0) == quad_integral(ONE, 40)
+
+
 def test_quad_order_self_consistency():
     rng = random.Random(5)
     worst = 0.0
@@ -249,6 +256,18 @@ def test_fourier_guards():
         lemma_l1_check(exponential(1, c=[1.5]), Z)
     with pytest.raises(ValueError):
         lemma_l1_check(Z.conj(), Z)
+
+
+@pytest.mark.parametrize("half_width", [float("nan"), float("inf"), -1.0, 0.0])
+def test_a_grid_half_width_that_is_not_positive_and_finite_is_rejected(half_width):
+    with pytest.raises(ValueError, match="grid_half_width must be positive and finite"):
+        lemma_l1_check(ONE, Z, grid_half_width=half_width)
+
+
+def test_a_grid_point_count_that_is_not_an_integer_is_rejected():
+    with pytest.raises(ValueError, match="grid_points must be an integer, got 100.5"):
+        lemma_l1_check(ONE, Z, grid_points=100.5)
+    assert lemma_l1_check(ONE, Z, grid_points=100.0) == lemma_l1_check(ONE, Z, grid_points=100)
 
 
 def test_fourier_converges_as_grid_grows():

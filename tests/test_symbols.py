@@ -133,6 +133,15 @@ def test_canon_dimension_mismatch():
         Symbol(2, [term(1, (1,))])
 
 
+@pytest.mark.parametrize("n", [2.5, "2", math.nan, None])
+def test_a_dimension_that_is_not_an_integer_is_rejected(n):
+    # int() would truncate 2.5 to a symbol on C^2
+    with pytest.raises(ValueError, match="dimension must be an integer"):
+        Symbol(n)
+    s = Symbol(2.0, [term(1, (1, 0))])
+    assert type(s.n) is int and s == coordinate(2, 1)
+
+
 @pytest.mark.parametrize("a, b", [((-1,), (0,)), ((1.5,), (0,)), ((0,), (-2,)), ((0,), ("1",))])
 def test_canon_rejects_exponents_that_are_not_non_negative_integers(a, b):
     with pytest.raises(ValueError, match="multi-index entries must be"):
@@ -609,6 +618,11 @@ def test_dz_index_guard():
         Z.dz(2)
     with pytest.raises(ValueError):
         Z.dz(0)
+    with pytest.raises(ValueError, match="coordinate index must be an integer"):
+        Z.dz(0.5)
+    with pytest.raises(ValueError, match="coordinate index must be an integer"):
+        coordinate(2, 1.5)
+    assert Z.dz(1.0) == Z.dz(1) == constant(1, 1) and coordinate(2, 2.0) == coordinate(2, 2)
 
 
 # -- evaluation ---------------------------------------------------------------------

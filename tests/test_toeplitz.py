@@ -171,6 +171,11 @@ def test_basis_images_are_the_orthonormal_monomials():
             assert abs(fock_inner(e, e) - 1.0) <= 1e-12
 
 
+def test_a_degree_that_is_not_an_integer_is_rejected():
+    with pytest.raises(ValueError, match="order bound must be an integer, got 2.5"):
+        op_equal_on_basis(OpChain([Z]), OpChain([Z]), degree=2.5)
+
+
 def test_equal_chains_have_zero_residual():
     rep = op_equal_on_basis(OpChain([Z]), OpChain([Z]), degree=4, tol=1e-9)
     assert rep.max_residual == 0.0
@@ -388,6 +393,13 @@ def test_a_chain_with_a_zero_factor_has_the_zero_symbol():
         psi = random_holo(rng, n, 3, exp_prob=1.0)
         for symbols in ([zero(n)], [zero(n), phi], [phi, zero(n)], [phi, zero(n), psi]):
             assert toeplitz_symbol(OpChain(symbols)) == zero(n)
+
+
+def test_a_form_with_a_non_finite_coefficient_raises():
+    # the Wick product of conj(z)^3 and z^3 overflows to inf terms, whose sums are nan
+    chain = OpChain([monomial(1, [0], 1e200, b=[3]), monomial(1, [3], 1e200)])
+    with pytest.raises(ValueError, match="non-finite coefficient"):
+        normal_form(chain)
 
 
 def test_pure_pairs_compose_as_one_item(monkeypatch):
